@@ -36,14 +36,28 @@ impl Alphabet {
     /// An alphabet with explicit symbol names.
     ///
     /// # Panics
-    /// Panics if `names` is empty, longer than 255, or contains duplicates.
+    /// Panics if `names` is empty, longer than 255, or contains duplicates
+    /// (see [`Alphabet::try_with_names`] for the checked form).
     pub fn with_names(names: Vec<char>) -> Self {
-        assert!(!names.is_empty(), "alphabet must be non-empty");
-        assert!(names.len() <= 255, "alphabet too large");
-        for (i, c) in names.iter().enumerate() {
-            assert!(!names[..i].contains(c), "duplicate symbol name {c:?}");
+        Alphabet::try_with_names(names).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// An alphabet with explicit symbol names, or a description of why
+    /// `names` cannot be one: it is empty, longer than 255, or contains
+    /// duplicates.
+    pub fn try_with_names(names: Vec<char>) -> Result<Self, String> {
+        if names.is_empty() {
+            return Err("alphabet must be non-empty".into());
         }
-        Alphabet { names }
+        if names.len() > 255 {
+            return Err(format!("alphabet too large: {} symbols (at most 255)", names.len()));
+        }
+        for (i, c) in names.iter().enumerate() {
+            if names[..i].contains(c) {
+                return Err(format!("duplicate symbol name {c:?}"));
+            }
+        }
+        Ok(Alphabet { names })
     }
 
     /// Number of symbols `k = |Σ|`.
@@ -116,6 +130,21 @@ mod tests {
     #[should_panic(expected = "duplicate")]
     fn duplicate_names_rejected() {
         Alphabet::with_names(vec!['a', 'a']);
+    }
+
+    #[test]
+    fn checked_constructor_reports_each_defect() {
+        assert_eq!(Alphabet::try_with_names(vec![]).unwrap_err(), "alphabet must be non-empty");
+        assert_eq!(
+            Alphabet::try_with_names(vec!['a', 'b', 'a']).unwrap_err(),
+            "duplicate symbol name 'a'"
+        );
+        let wide: Vec<char> = (0..256u32).map(|i| char::from_u32(0x4E00 + i).unwrap()).collect();
+        assert!(Alphabet::try_with_names(wide[..255].to_vec()).is_ok());
+        assert_eq!(
+            Alphabet::try_with_names(wide).unwrap_err(),
+            "alphabet too large: 256 symbols (at most 255)"
+        );
     }
 
     #[test]

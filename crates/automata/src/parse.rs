@@ -77,7 +77,8 @@ pub fn from_text(text: &str) -> Result<Nfa, ParseNfaError> {
                 if fields.len() != 2 {
                     return Err(err(lineno, "alphabet needs one token of symbol names".into()));
                 }
-                *alphabet = Some(Alphabet::with_names(fields[1].chars().collect()));
+                let names = fields[1].chars().collect();
+                *alphabet = Some(Alphabet::try_with_names(names).map_err(|e| err(lineno, e))?);
                 Ok(())
             }
             "states" => {
@@ -221,6 +222,18 @@ trans 2 1 2
 
         assert!(from_text("").is_err());
         assert!(from_text("states 1\n").is_err(), "alphabet must come first");
+    }
+
+    #[test]
+    fn bad_alphabet_lines_are_errors_not_panics() {
+        let e = from_text("# dup\nalphabet 00\nstates 1\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("duplicate symbol name '0'"), "{e}");
+
+        let names: String = (0..300u32).map(|i| char::from_u32(0x4E00 + i).unwrap()).collect();
+        let e = from_text(&format!("alphabet {names}\nstates 1\n")).unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("alphabet too large: 300 symbols"), "{e}");
     }
 
     #[test]

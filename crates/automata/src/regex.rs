@@ -14,6 +14,10 @@
 //! ```
 //!
 //! Symbols are single characters drawn from the target [`Alphabet`].
+//!
+//! Bounded repetition is compiled by unfolding, so a short pattern can
+//! stand for a huge automaton. [`Regex::parse`] therefore rejects any
+//! pattern whose [`Regex::expanded_size`] exceeds [`MAX_EXPANDED_SIZE`].
 
 use crate::alphabet::{Alphabet, Symbol};
 use crate::nfa::{Nfa, NfaBuilder, StateId};
@@ -42,6 +46,11 @@ pub enum Regex {
     /// Bounded repetition `{lo}` / `{lo,hi}`.
     Repeat(Box<Regex>, usize, usize),
 }
+
+/// Largest [`Regex::expanded_size`] a pattern may have. It bounds the
+/// Thompson construction and its ε-elimination to a fraction of a second
+/// in a release build; `(0|1){3333}` is exactly at it.
+pub const MAX_EXPANDED_SIZE: usize = 10_000;
 
 /// Parse / compile errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -222,7 +231,38 @@ impl Regex {
         if p.pos != p.chars.len() {
             return p.err("trailing input");
         }
+        let size = re.expanded_size();
+        if size > MAX_EXPANDED_SIZE {
+            return Err(RegexError {
+                position: 0,
+                message: format!(
+                    "pattern expands to {} syntax nodes after unfolding repetitions \
+                     (at most {MAX_EXPANDED_SIZE})",
+                    if size == usize::MAX { "too many".to_string() } else { size.to_string() }
+                ),
+            });
+        }
         Ok(re)
+    }
+
+    /// The number of syntax nodes after every bounded repetition
+    /// `r{lo,hi}` is unfolded into `hi` copies of `r`: one per node, with
+    /// a repetition counting `1 + hi · size(r)`, so nested repetitions
+    /// multiply. Saturates at `usize::MAX`. This is the size that the
+    /// compiled ε-NFA grows with.
+    pub fn expanded_size(&self) -> usize {
+        match self {
+            Regex::Empty | Regex::Symbol(_) | Regex::Class(_) => 1,
+            Regex::Concat(parts) | Regex::Alt(parts) => {
+                parts.iter().fold(1, |acc: usize, r| acc.saturating_add(r.expanded_size()))
+            }
+            Regex::Star(inner) | Regex::Plus(inner) | Regex::Opt(inner) => {
+                inner.expanded_size().saturating_add(1)
+            }
+            Regex::Repeat(inner, _, hi) => {
+                hi.saturating_mul(inner.expanded_size()).saturating_add(1)
+            }
+        }
     }
 
     /// Renders the AST back to pattern syntax over the given alphabet.
@@ -599,6 +639,23 @@ mod tests {
         check_pattern("1{3}", 5);
         check_pattern("(0|1){2,4}", 5);
         check_pattern("0{0,2}1", 4);
+    }
+
+    #[test]
+    fn unbounded_expansion_is_rejected() {
+        let a = Alphabet::binary();
+        for pattern in ["(0|1){99999999}", "((0|1){1000}){1000}", "(0|1){2000}(0|1){2000}"] {
+            let err = Regex::parse(pattern, &a).unwrap_err();
+            assert!(err.message.contains("unfolding repetitions"), "{pattern}: {err}");
+        }
+        // Saturating: a product beyond usize must not wrap to a small size.
+        let huge = format!("((0|1){{{}}}){{{}}}", usize::MAX, usize::MAX);
+        assert!(Regex::parse(&huge, &a).unwrap_err().message.contains("too many"));
+        // Nesting multiplies: 1 + 10·(1 + 10·(1 + 2)) = 311.
+        assert_eq!(Regex::parse("((0|1){10}){10}", &a).unwrap().expanded_size(), 311);
+        // Exactly at the cap still parses; one more copy does not.
+        assert_eq!(Regex::parse("(0|1){3333}", &a).unwrap().expanded_size(), MAX_EXPANDED_SIZE);
+        assert!(Regex::parse("(0|1){3334}", &a).is_err());
     }
 
     #[test]

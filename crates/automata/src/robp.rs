@@ -423,7 +423,8 @@ pub fn from_text(text: &str) -> Result<Robp, ParseRobpError> {
                 if fields.len() != 2 {
                     return Err(err(lineno, "alphabet needs one token of symbol names".into()));
                 }
-                alphabet = Some(Alphabet::with_names(fields[1].chars().collect()));
+                let names = fields[1].chars().collect();
+                alphabet = Some(Alphabet::try_with_names(names).map_err(|e| err(lineno, e))?);
             }
             "depth" => {
                 let d: usize = fields
@@ -691,6 +692,10 @@ mod tests {
 
         let e = from_text("alphabet 01\ndepth 2\nlevels 0 1 2\nedge 0 0 2\n").unwrap_err();
         assert!(e.message.contains("advance exactly one level"));
+
+        let e = from_text("depth 1\nalphabet 011\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("duplicate symbol name '1'"));
 
         assert!(from_text("").is_err());
     }

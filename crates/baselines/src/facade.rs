@@ -28,20 +28,10 @@ pub enum CounterKind {
     /// seed); `threads ≥ 1` selects the
     /// [`Deterministic`](fpras_core::Deterministic) policy on that many
     /// worker threads — output is bit-identical for every `threads ≥ 1`,
-    /// so the knob trades wall time only. `batch = false` disables the
-    /// engine's batched union estimation (D8) and `share = false` the
-    /// sample-pass frontier sharing (D9): same output bit-for-bit under
-    /// the same seed — both knobs only share work — so the row pairs are
-    /// the honest cost comparisons in benchmark tables.
+    /// so the knob trades wall time only.
     Fpras {
         /// Worker threads: 0 = serial policy, ≥ 1 = deterministic policy.
         threads: usize,
-        /// Share count-pass union estimates across same-frontier pairs
-        /// (default).
-        batch: bool,
-        /// Pre-estimate and share hot sampler frontiers per level
-        /// (default).
-        share: bool,
     },
     /// The same FPRAS run through the nROBP substrate (DESIGN.md D14):
     /// the instance is first encoded as a read-once branching program
@@ -53,8 +43,6 @@ pub enum CounterKind {
     RobpFpras {
         /// Worker threads: 0 = serial policy, ≥ 1 = deterministic policy.
         threads: usize,
-        /// Share count-pass union estimates across same-frontier pairs.
-        batch: bool,
     },
     /// The ACJR-style baseline (practical exponent).
     Acjr,
@@ -83,12 +71,8 @@ impl CounterKind {
     /// Short label for experiment tables.
     pub fn label(&self) -> &'static str {
         match self {
-            CounterKind::Fpras { batch: true, share: true, .. } => "fpras(ours)",
-            CounterKind::Fpras { batch: false, share: true, .. } => "fpras(unbatched)",
-            CounterKind::Fpras { batch: true, share: false, .. } => "fpras(unshared)",
-            CounterKind::Fpras { batch: false, share: false, .. } => "fpras(baseline)",
-            CounterKind::RobpFpras { batch: true, .. } => "robp(ours)",
-            CounterKind::RobpFpras { batch: false, .. } => "robp(unbatched)",
+            CounterKind::Fpras { .. } => "fpras(ours)",
+            CounterKind::RobpFpras { .. } => "robp(ours)",
             CounterKind::Acjr => "acjr-style",
             CounterKind::NaiveMc { .. } => "naive-mc",
             CounterKind::PathIs { .. } => "path-is",
@@ -135,10 +119,10 @@ pub struct CounterOutput {
     pub ops: u64,
     /// `(cell, symbol)` pairs answered by the engine's batched
     /// union-estimation layer instead of their own `AppUnion` run
-    /// (0 for non-FPRAS methods and unbatched runs).
+    /// (0 for non-FPRAS methods).
     pub cells_deduped: u64,
     /// Sampler union lookups answered by a pre-estimated shared-tier
-    /// memo entry (D9; 0 for non-FPRAS methods and unshared runs).
+    /// memo entry (D9; 0 for non-FPRAS methods).
     pub preestimate_hits: u64,
     /// Memo base-layer entries shared (not cloned) across the
     /// copy-on-write sample-pass snapshots — the clone volume the flat
@@ -196,10 +180,8 @@ pub fn run_counter(
 ) -> Result<CounterOutput, CounterError> {
     let start = Instant::now();
     match kind {
-        CounterKind::Fpras { threads, batch, share } => {
-            let mut params = Params::practical(eps, delta, nfa.num_states(), n);
-            params.batch_unions = *batch;
-            params.share_sampler_frontiers = *share;
+        CounterKind::Fpras { threads } => {
+            let params = Params::practical(eps, delta, nfa.num_states(), n);
             let run = if *threads == 0 {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 FprasRun::run(nfa, n, &params, &mut rng)
@@ -221,7 +203,7 @@ pub fn run_counter(
                 wall: start.elapsed(),
             })
         }
-        CounterKind::RobpFpras { threads, batch } => {
+        CounterKind::RobpFpras { threads } => {
             let robp = match Robp::from_nfa(nfa, n) {
                 Ok(r) => r,
                 Err(_) => {
@@ -232,8 +214,7 @@ pub fn run_counter(
                     return Ok(CounterOutput::plain(est, true, 0, start.elapsed()));
                 }
             };
-            let mut params = Params::practical(eps, delta, robp.num_nodes(), n);
-            params.batch_unions = *batch;
+            let params = Params::practical(eps, delta, robp.num_nodes(), n);
             let run = if *threads == 0 {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 FprasRun::run_robp(&robp, &params, &mut rng)
@@ -321,9 +302,9 @@ mod tests {
         let n = 8;
         let exact = 128.0;
         for kind in [
-            CounterKind::Fpras { threads: 0, batch: true, share: true },
-            CounterKind::RobpFpras { threads: 0, batch: true },
-            CounterKind::RobpFpras { threads: 2, batch: false },
+            CounterKind::Fpras { threads: 0 },
+            CounterKind::RobpFpras { threads: 0 },
+            CounterKind::RobpFpras { threads: 2 },
             CounterKind::Acjr,
             CounterKind::NaiveMc { trials: 50_000 },
             CounterKind::PathIs { trials: 20_000 },
@@ -345,98 +326,16 @@ mod tests {
         // output must be bit-identical across thread counts.
         let nfa = ends_in_1();
         let n = 10;
-        let one = run_counter(
-            &CounterKind::Fpras { threads: 1, batch: true, share: true },
-            &nfa,
-            n,
-            0.25,
-            0.1,
-            9,
-        )
-        .unwrap();
-        let four = run_counter(
-            &CounterKind::Fpras { threads: 4, batch: true, share: true },
-            &nfa,
-            n,
-            0.25,
-            0.1,
-            9,
-        )
-        .unwrap();
+        let one = run_counter(&CounterKind::Fpras { threads: 1 }, &nfa, n, 0.25, 0.1, 9).unwrap();
+        let four = run_counter(&CounterKind::Fpras { threads: 4 }, &nfa, n, 0.25, 0.1, 9).unwrap();
         assert_eq!(one.estimate, four.estimate);
         assert_eq!(one.ops, four.ops);
         // And it is accurate.
         let err = (one.estimate.to_f64() - 512.0).abs() / 512.0;
         assert!(err < 0.25, "error {err}");
-    }
-
-    #[test]
-    fn fpras_batch_knob_is_work_only() {
-        // Disabling batched union estimation re-runs identical AppUnion
-        // calls per (cell, symbol) pair: the estimate must be
-        // bit-identical under the same seed while the op count grows.
-        let nfa = ends_in_1();
-        let n = 10;
-        let batched = run_counter(
-            &CounterKind::Fpras { threads: 2, batch: true, share: true },
-            &nfa,
-            n,
-            0.25,
-            0.1,
-            9,
-        )
-        .unwrap();
-        let unbatched = run_counter(
-            &CounterKind::Fpras { threads: 2, batch: false, share: true },
-            &nfa,
-            n,
-            0.25,
-            0.1,
-            9,
-        )
-        .unwrap();
-        assert_eq!(batched.estimate, unbatched.estimate);
-        assert!(batched.cells_deduped > 0, "ends-in-1 shares frontiers across symbols");
-        assert_eq!(unbatched.cells_deduped, 0);
-        assert!(
-            batched.ops < unbatched.ops,
-            "batched {} ops must undercut unbatched {}",
-            batched.ops,
-            unbatched.ops
-        );
-    }
-
-    #[test]
-    fn fpras_share_knob_is_work_only() {
-        // Disabling sample-pass frontier sharing makes cells lazily
-        // recompute the identical frontier-keyed estimates: the output
-        // must be bit-identical under the same seed while the
-        // pre-estimation hit counter drops to zero.
-        let nfa = ends_in_1();
-        let n = 10;
-        let shared = run_counter(
-            &CounterKind::Fpras { threads: 2, batch: true, share: true },
-            &nfa,
-            n,
-            0.25,
-            0.1,
-            9,
-        )
-        .unwrap();
-        let unshared = run_counter(
-            &CounterKind::Fpras { threads: 2, batch: true, share: false },
-            &nfa,
-            n,
-            0.25,
-            0.1,
-            9,
-        )
-        .unwrap();
-        assert_eq!(shared.estimate, unshared.estimate);
-        assert_eq!(unshared.preestimate_hits, 0);
-        // Both run the CoW memo, so base-layer sharing happens either way.
-        assert!(shared.memo_entries_shared > 0);
-        assert!(unshared.memo_entries_shared > 0);
+        // Both work-sharing levers engage and are reported.
+        assert!(one.cells_deduped > 0, "ends-in-1 shares frontiers across symbols");
+        assert!(one.memo_entries_shared > 0);
     }
 
     #[test]
@@ -446,11 +345,9 @@ mod tests {
         let nfa = ends_in_1();
         let n = 10;
         let one =
-            run_counter(&CounterKind::RobpFpras { threads: 1, batch: true }, &nfa, n, 0.25, 0.1, 9)
-                .unwrap();
+            run_counter(&CounterKind::RobpFpras { threads: 1 }, &nfa, n, 0.25, 0.1, 9).unwrap();
         let four =
-            run_counter(&CounterKind::RobpFpras { threads: 4, batch: true }, &nfa, n, 0.25, 0.1, 9)
-                .unwrap();
+            run_counter(&CounterKind::RobpFpras { threads: 4 }, &nfa, n, 0.25, 0.1, 9).unwrap();
         assert_eq!(one.estimate, four.estimate);
         assert_eq!(one.ops, four.ops);
         let err = (one.estimate.to_f64() - 512.0).abs() / 512.0;
@@ -458,33 +355,11 @@ mod tests {
     }
 
     #[test]
-    fn robp_batch_knob_is_work_only() {
-        let nfa = ends_in_1();
-        let n = 10;
-        let batched =
-            run_counter(&CounterKind::RobpFpras { threads: 2, batch: true }, &nfa, n, 0.25, 0.1, 9)
-                .unwrap();
-        let unbatched = run_counter(
-            &CounterKind::RobpFpras { threads: 2, batch: false },
-            &nfa,
-            n,
-            0.25,
-            0.1,
-            9,
-        )
-        .unwrap();
-        assert_eq!(batched.estimate, unbatched.estimate);
-        assert_eq!(unbatched.cells_deduped, 0);
-        assert!(batched.ops <= unbatched.ops);
-    }
-
-    #[test]
     fn robp_degenerate_slices_are_exact() {
         // Empty slice (ends-in-1 has no length-0 word) and λ handling.
         let nfa = ends_in_1();
         let out =
-            run_counter(&CounterKind::RobpFpras { threads: 0, batch: true }, &nfa, 0, 0.25, 0.1, 1)
-                .unwrap();
+            run_counter(&CounterKind::RobpFpras { threads: 0 }, &nfa, 0, 0.25, 0.1, 1).unwrap();
         assert!(out.exact);
         assert!(out.estimate.is_zero());
     }
@@ -492,12 +367,8 @@ mod tests {
     #[test]
     fn labels_are_distinct() {
         let kinds = [
-            CounterKind::Fpras { threads: 0, batch: true, share: true },
-            CounterKind::Fpras { threads: 0, batch: false, share: true },
-            CounterKind::Fpras { threads: 0, batch: true, share: false },
-            CounterKind::Fpras { threads: 0, batch: false, share: false },
-            CounterKind::RobpFpras { threads: 0, batch: true },
-            CounterKind::RobpFpras { threads: 0, batch: false },
+            CounterKind::Fpras { threads: 0 },
+            CounterKind::RobpFpras { threads: 0 },
             CounterKind::Acjr,
             CounterKind::NaiveMc { trials: 1 },
             CounterKind::PathIs { trials: 1 },

@@ -89,9 +89,7 @@ pub fn e6_vs_acjr(quick: bool) -> String {
         let mut acc = [(0.0f64, 0u64, 0.0f64); 2]; // (wall, ops, err) per method
         for seed in 0..trials as u64 {
             for (slot, kind) in
-                [CounterKind::Fpras { threads: 0, batch: true, share: true }, CounterKind::Acjr]
-                    .iter()
-                    .enumerate()
+                [CounterKind::Fpras { threads: 0 }, CounterKind::Acjr].iter().enumerate()
             {
                 let outp = run_counter(kind, &nfa, n, eps, delta, 6100 + seed).expect("run");
                 acc[slot].0 += outp.wall.as_secs_f64();
@@ -173,15 +171,8 @@ pub fn e11_crossover(quick: bool) -> String {
         "dp width",
     ]);
     for (name, nfa, n) in instances {
-        let fp = run_counter(
-            &CounterKind::Fpras { threads: 0, batch: true, share: true },
-            &nfa,
-            n,
-            0.3,
-            0.1,
-            11_000,
-        )
-        .expect("fpras");
+        let fp = run_counter(&CounterKind::Fpras { threads: 0 }, &nfa, n, 0.3, 0.1, 11_000)
+            .expect("fpras");
         let nv =
             run_counter(&CounterKind::NaiveMc { trials: naive_trials }, &nfa, n, 0.3, 0.1, 11_001)
                 .expect("naive");

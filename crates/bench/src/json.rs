@@ -3,12 +3,10 @@
 //! `experiments --json [PATH]` writes a `BENCH_counter.json` so later
 //! PRs have a perf trajectory to compare against: one record per
 //! `(instance, method, threads)` cell with wall time and the estimate.
-//! The FPRAS rows include `fpras(unbatched)` and `fpras(unshared)`
-//! controls — same seed, bit-identical estimate, batched union
-//! estimation (D8) resp. sample-pass frontier sharing (D9) disabled —
-//! so both sharing layers' savings (`ops`, `cells_deduped`,
-//! `preestimate_hits`, `memo_entries_shared`) are recorded in every
-//! trajectory snapshot. The encoder is hand-rolled (the workspace
+//! The FPRAS rows record how much work the two sharing layers absorb —
+//! batched union estimation (D8, `cells_deduped`) and sample-pass
+//! frontier sharing (D9, `preestimate_hits`, `memo_entries_shared`) —
+//! in every trajectory snapshot. The encoder is hand-rolled (the workspace
 //! vendors no serde) and the schema is deliberately flat — downstream
 //! tooling should need nothing beyond a JSON array of objects.
 
@@ -40,7 +38,7 @@ pub struct CounterMeasurement {
     /// `(cell, symbol)` pairs deduplicated by batched union estimation.
     pub cells_deduped: u64,
     /// Sampler union lookups answered by pre-estimated shared entries
-    /// (D9; zero for unshared controls and exact methods).
+    /// (D9; zero for exact methods).
     pub preestimate_hits: u64,
     /// Memo base entries shared (not cloned) across copy-on-write
     /// sample-pass snapshots (zero for serial and exact rows).
@@ -307,13 +305,13 @@ fn fill_parallel_efficiency(rows: &mut [CounterMeasurement]) {
 }
 
 /// Runs the counter matrix the JSON report records: three small
-/// instance families × the FPRAS engine at several thread counts (plus
-/// unbatched/unshared controls) × the exact DP as ground truth, and two
-/// **large skewed instances** where the sample pass is hot — a wide
-/// dense random NFA (the work-stealing pool engages on every level) and
-/// a deeply unrolled automaton (3 live cells per level: the
-/// sequential-fallback cutoff keeps thread overhead at zero) — at
-/// threads 1/2/4/8 with a `parallel_efficiency` column. `quick` shrinks
+/// instance families × the FPRAS engine at several thread counts × the
+/// exact DP as ground truth, and two **large skewed instances** where
+/// the sample pass is hot — a wide dense random NFA (the work-stealing
+/// pool engages on every level) and a deeply unrolled automaton (3 live
+/// cells per level: the sequential-fallback cutoff keeps thread
+/// overhead at zero) — at threads 1/2/4/8 with a `parallel_efficiency`
+/// column. `quick` shrinks
 /// instance sizes for smoke passes.
 pub fn counter_matrix(quick: bool, seed: u64) -> Vec<CounterMeasurement> {
     let n = if quick { 10 } else { 14 };
@@ -323,27 +321,11 @@ pub fn counter_matrix(quick: bool, seed: u64) -> Vec<CounterMeasurement> {
         ("div-by-5", families::divisible_by(5)),
     ];
     // threads = 0 is the Serial policy; ≥ 1 the Deterministic policy.
-    // The `batch = false` rows are the unbatched controls (bit-identical
-    // estimates, strictly more ops, zero dedup) and the `share = false`
-    // rows the unshared controls (bit-identical estimates, equal-or-more
-    // estimation work, zero pre-estimate hits — the pre-pass pays off on
-    // levels where several cells miss the same frontier).
-    let fpras_settings = [
-        (0usize, true, true),
-        (1, true, true),
-        (2, true, true),
-        (4, true, true),
-        (8, true, true),
-        (0, false, true),
-        (4, false, true),
-        (0, true, false),
-        (4, true, false),
-    ];
     let mut out = Vec::new();
     for (name, nfa) in &instances {
         let instance = format!("{name}/n={n}");
-        for &(threads, batch, share) in &fpras_settings {
-            let kind = CounterKind::Fpras { threads, batch, share };
+        for threads in [0usize, 1, 2, 4, 8] {
+            let kind = CounterKind::Fpras { threads };
             out.push(measure(&instance, &kind, nfa, n, 0.25, seed));
         }
         out.push(measure(&instance, &CounterKind::ExactDp, nfa, n, 0.25, seed));
@@ -356,11 +338,10 @@ pub fn counter_matrix(quick: bool, seed: u64) -> Vec<CounterMeasurement> {
     // `RobpSubstrate`. Statistically comparable to the fpras rows, not
     // bit-identical: the program's node universe differs from the NFA's
     // state universe, so the frontier-keyed streams differ.
-    let robp_settings = [(0usize, true), (4, true), (0, false)];
     for (name, nfa) in instances.iter().take(2) {
         let instance = format!("robp-{name}/n={n}");
-        for &(threads, batch) in &robp_settings {
-            let kind = CounterKind::RobpFpras { threads, batch };
+        for threads in [0usize, 4] {
+            let kind = CounterKind::RobpFpras { threads };
             out.push(measure(&instance, &kind, nfa, n, 0.25, seed));
         }
     }
@@ -387,10 +368,10 @@ pub fn counter_matrix(quick: bool, seed: u64) -> Vec<CounterMeasurement> {
         // fresh working-set shape pays allocator/cache warmup that
         // would otherwise inflate every later row's efficiency against
         // the t = 1 baseline.
-        let warmup = CounterKind::Fpras { threads: 1, batch: true, share: true };
+        let warmup = CounterKind::Fpras { threads: 1 };
         let _ = run_counter(&warmup, nfa, *n, *eps, 0.1, seed);
         for threads in [1usize, 2, 4, 8] {
-            let kind = CounterKind::Fpras { threads, batch: true, share: true };
+            let kind = CounterKind::Fpras { threads };
             out.push(measure(instance, &kind, nfa, *n, *eps, seed));
         }
         out.push(measure(instance, &CounterKind::ExactDp, nfa, *n, *eps, seed));
@@ -473,7 +454,7 @@ pub fn scaling_smoke(quick: bool, seed: u64) -> Result<String, String> {
         &mut SmallRng::seed_from_u64(seed ^ 0xD10),
     );
     let run = |threads: usize| {
-        let kind = CounterKind::Fpras { threads, batch: true, share: true };
+        let kind = CounterKind::Fpras { threads };
         run_counter(&kind, &nfa, n, eps, 0.1, seed).expect("scaling fixture run")
     };
     // Discarded warmup, like `counter_matrix`: the first run on a fresh
@@ -647,11 +628,11 @@ mod tests {
     #[test]
     fn matrix_covers_methods_and_threads() {
         let ms = counter_matrix(true, 7);
-        // 3 small instances × (9 fpras settings + 1 exact) + 2
-        // robp-encoded instances × 3 robp settings + 2 large instances
+        // 3 small instances × (5 thread settings + 1 exact) + 2
+        // robp-encoded instances × 2 thread settings + 2 large instances
         // × (4 thread counts + 1 exact) + 2 query-trace rows + 2
         // load-harness rows.
-        assert_eq!(ms.len(), 50);
+        assert_eq!(ms.len(), 36);
         // Load harness: latency distribution recorded, reuse nonzero,
         // and only the quota'd row sheds queries.
         let load = ms.iter().find(|m| m.method == "session(load)").expect("load row");
@@ -689,8 +670,6 @@ mod tests {
         // breakdown that never exceeds the row's total wall.
         assert!(dense.phase.total() > std::time::Duration::ZERO, "phase wall must accrue");
         assert!(dense.phase.total().as_secs_f64() <= dense.wall_seconds, "phases ⊆ wall");
-        assert!(ms.iter().any(|m| m.method == "fpras(unbatched)"));
-        assert!(ms.iter().any(|m| m.method == "fpras(unshared)"));
         // The large skewed instances are present, thread-identical, and
         // carry the efficiency column on every threads ≥ 1 row.
         for prefix in ["dense-random-", "unrolled-contains-11"] {
@@ -710,8 +689,7 @@ mod tests {
                 assert!(err < 0.5, "{prefix} t={}: err {err}", m.threads);
             }
         }
-        // Deterministic policy: identical estimates for threads 1/2/4/8,
-        // batched or not (batching shares work, never changes output).
+        // Deterministic policy: identical estimates for threads 1/2/4/8.
         for (name, _) in [("contains-11", ()), ("ones-mod-4", ()), ("div-by-5", ())] {
             let dets: Vec<f64> = ms
                 .iter()
@@ -719,39 +697,19 @@ mod tests {
                 .map(|m| m.estimate)
                 .collect();
             assert!(dets.windows(2).all(|w| w[0] == w[1]), "{name}: {dets:?}");
-            // The unbatched control re-runs shared estimations: same
-            // estimate, strictly more membership ops on these fixtures.
-            let batched = ms
+            // Batching engages on every small fixture.
+            let serial = ms
                 .iter()
                 .find(|m| {
                     m.instance.starts_with(name) && m.method == "fpras(ours)" && m.threads == 0
                 })
-                .expect("batched serial row");
-            let unbatched = ms
-                .iter()
-                .find(|m| {
-                    m.instance.starts_with(name) && m.method == "fpras(unbatched)" && m.threads == 0
-                })
-                .expect("unbatched serial row");
-            assert_eq!(batched.estimate, unbatched.estimate, "{name}");
-            assert!(batched.cells_deduped > 0, "{name}: dedup must fire");
-            assert_eq!(unbatched.cells_deduped, 0, "{name}");
-            assert!(batched.ops < unbatched.ops, "{name}: batching must save ops");
-            // The unshared control: same estimate, no pre-estimate hits.
-            let unshared = ms
-                .iter()
-                .find(|m| {
-                    m.instance.starts_with(name) && m.method == "fpras(unshared)" && m.threads == 0
-                })
-                .expect("unshared serial row");
-            assert_eq!(batched.estimate, unshared.estimate, "{name}: share knob is work-only");
-            assert_eq!(unshared.preestimate_hits, 0, "{name}");
+                .expect("serial row");
+            assert!(serial.cells_deduped > 0, "{name}: dedup must fire");
         }
         // nROBP substrate family (D14): the robp-encoded slices are the
         // same languages, so the base instance's exact row is their
-        // ground truth; labels are the robp ones, the batch knob is
-        // work-only (bit-identical estimate), and a threads ≥ 1 row is
-        // present.
+        // ground truth; labels are the robp ones, and a threads ≥ 1 row
+        // is present.
         for name in ["contains-11", "ones-mod-4"] {
             let exact = ms
                 .iter()
@@ -760,19 +718,12 @@ mod tests {
                 .estimate;
             let rows: Vec<_> =
                 ms.iter().filter(|m| m.instance.starts_with(&format!("robp-{name}"))).collect();
-            assert_eq!(rows.len(), 3, "robp-{name}");
+            assert_eq!(rows.len(), 2, "robp-{name}");
             for m in &rows {
                 let err = (m.estimate - exact).abs() / exact;
                 assert!(err < 0.25, "robp-{name} t={}: err {err}", m.threads);
             }
-            let ours = rows
-                .iter()
-                .find(|m| m.method == "robp(ours)" && m.threads == 0)
-                .expect("robp serial row");
-            let unbatched =
-                rows.iter().find(|m| m.method == "robp(unbatched)").expect("robp unbatched row");
-            assert_eq!(ours.estimate, unbatched.estimate, "robp-{name}: batch knob is work-only");
-            assert!(ours.ops <= unbatched.ops, "robp-{name}: batching must not add ops");
+            assert!(rows.iter().all(|m| m.method == "robp(ours)"), "robp-{name}");
             assert!(rows.iter().any(|m| m.threads == 4), "robp-{name}");
         }
         // And every FPRAS estimate is within the ε band of exact.

@@ -25,14 +25,15 @@
 //! from `(master_seed, MemoKey::rng_tag)`, the `Serial` policy draws one
 //! sub-seed per group (in canonical group order) from its caller RNG.
 //! Two pairs with equal frontiers therefore receive *identical* draws
-//! whether the estimation runs once or once-per-pair — so
-//! `Params::batch_unions` toggles how often the arithmetic is repeated,
-//! never what it computes, and the batched/unbatched property tests can
-//! demand bit-for-bit agreement. The price is honesty about dependence:
-//! shared-frontier pairs get fully correlated (equal) estimates, which
-//! the per-level `(β, η)` accounting tolerates — each *distinct* union
-//! is still estimated to within `(1 ± β)` with probability `1 − η`, and
-//! `N(qℓ)` sums such terms (see DESIGN.md D8 for the full argument).
+//! whether the estimation runs once or once-per-pair, so running it once
+//! per group changes how often the arithmetic is done, never what it
+//! computes. `tests::plan_groups_match_per_pair_frontiers` checks the
+//! grouping pair by pair on random automata. The price is honesty about
+//! dependence: shared-frontier pairs get fully correlated (equal)
+//! estimates, which the per-level `(β, η)` accounting tolerates — each
+//! *distinct* union is still estimated to within `(1 ± β)` with
+//! probability `1 − η`, and `N(qℓ)` sums such terms (see DESIGN.md D8
+//! for the full argument).
 
 use super::EngineCtx;
 use crate::table::{BuildKeyHasher, MemoKey};
@@ -245,5 +246,85 @@ mod tests {
             assert_eq!(plan.key(gi), again.key(gi));
             assert_eq!(plan.groups()[gi].members, again.groups()[gi].members);
         }
+    }
+
+    #[test]
+    fn plan_groups_match_per_pair_frontiers() {
+        // On random automata, at every level, each (cell, symbol) pair's
+        // frontier — recomputed here from the raw transition lists —
+        // must intern to its group's key, and an empty frontier must map
+        // to no group. Cells include unreachable ones, which the plan
+        // must treat like any other.
+        use fpras_workloads::{random_nfa, RandomNfaConfig};
+        use rand::{rngs::SmallRng, SeedableRng};
+        let mut checked_pairs = 0u64;
+        for case in 0..24u64 {
+            let config = RandomNfaConfig {
+                states: 2 + (case % 6) as usize,
+                alphabet: 2 + (case % 2) as usize,
+                density: 1.0 + (case % 4) as f64 * 0.6,
+                accepting: 1,
+            };
+            let nfa = random_nfa(&config, &mut SmallRng::seed_from_u64(case));
+            let n = 4 + (case % 4) as usize;
+            let Some(trimmed) = ops::trim(&nfa) else { continue };
+            let normalized = ops::with_single_accepting(&trimmed);
+            let q_final = normalized.accepting().iter().next().expect("accepting") as StateId;
+            let m = normalized.num_states();
+            let k = normalized.alphabet().size();
+            let substrate = NfaSubstrate::new(normalized.clone(), q_final, n);
+            let interner = FrontierInterner::new(m);
+            let params = Params::practical(0.3, 0.1, m, n);
+            let ctx = EngineCtx {
+                params: &params,
+                substrate: &substrate,
+                interner: &interner,
+                m,
+                k: k as u8,
+                sampler_seed: 0,
+            };
+            let cells: Vec<StateId> = (0..m as StateId).collect();
+            let mut reach = StateSet::singleton(m, normalized.initial() as usize);
+            for ell in 1..=n {
+                let plan = LevelPlan::build(&ctx, ell, &cells);
+                let mut members = vec![0u32; plan.groups().len()];
+                for (i, &q) in cells.iter().enumerate() {
+                    for sym in 0..k as u8 {
+                        let frontier = StateSet::from_iter(
+                            m,
+                            (0..m as StateId)
+                                .filter(|&p| normalized.successors(p, sym).contains(&q))
+                                .map(|p| p as usize)
+                                .filter(|&p| reach.contains(p)),
+                        );
+                        let label = format!("case {case} level {ell} cell {q} symbol {sym}");
+                        match plan.cell_groups(i)[sym as usize] {
+                            None => assert!(frontier.is_empty(), "{label}: lost a pair"),
+                            Some(gi) => {
+                                assert!(!frontier.is_empty(), "{label}: empty pair grouped");
+                                assert_eq!(
+                                    plan.key(gi),
+                                    interner.intern(ell - 1, &frontier),
+                                    "{label}: wrong group"
+                                );
+                                assert_eq!(plan.groups()[gi].frontier, frontier, "{label}");
+                                members[gi] += 1;
+                            }
+                        }
+                        checked_pairs += 1;
+                    }
+                }
+                // Member counts are exactly the pairs mapped to each group.
+                for (gi, group) in plan.groups().iter().enumerate() {
+                    assert_eq!(group.members, members[gi], "case {case} level {ell} group {gi}");
+                }
+                let mut next = StateSet::empty(m);
+                for sym in 0..k as u8 {
+                    next.union_with(&normalized.step(&reach, sym));
+                }
+                reach = next;
+            }
+        }
+        assert!(checked_pairs > 500, "only {checked_pairs} pairs checked");
     }
 }

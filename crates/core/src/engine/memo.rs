@@ -41,7 +41,7 @@ pub enum MemoTier {
     /// tier (`β_count`, DESIGN.md D4).
     Count,
     /// Seeded by the engine's sample-pass frontier-sharing pre-pass
-    /// (`share_sampler_frontiers`, DESIGN.md D9) at sampler precision.
+    /// (DESIGN.md D9) at sampler precision.
     Shared,
     /// Inserted lazily by the sampler on a memo miss.
     Sampler,
@@ -165,6 +165,12 @@ impl UnionMemo {
     /// True iff the memo holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Every entry in both layers, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&MemoKey, &MemoEntry)> {
+        self.base.iter().chain(self.overlay.iter())
     }
 }
 

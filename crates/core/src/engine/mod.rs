@@ -23,15 +23,12 @@
 //!
 //! # Batched union estimation (D8)
 //!
-//! The count pass does not run `AppUnion` per `(cell, symbol)` pair any
-//! more: the engine first builds a [`LevelPlan`] that
-//! groups pairs by their canonical predecessor-frontier key, the policy
-//! estimates each *group* once (on an RNG stream derived from the
-//! frontier, not the cell), and per-cell counts are assembled by summing
-//! the shared group estimates. `Params::batch_unions = false` re-runs
-//! the identical estimation once per member pair instead — same streams,
-//! same output, strictly more work — which is the honest unbatched
-//! baseline the benches compare against. See `engine/batch.rs`.
+//! The count pass does not run `AppUnion` per `(cell, symbol)` pair:
+//! the engine first builds a [`LevelPlan`] that groups pairs by their
+//! canonical predecessor-frontier key, the policy estimates each
+//! *group* once (on an RNG stream derived from the frontier, not the
+//! cell), and per-cell counts are assembled by summing the shared group
+//! estimates. See `engine/batch.rs`.
 //!
 //! # Memo lifecycle (D9)
 //!
@@ -53,17 +50,14 @@
 //!
 //! Mirroring D8 for the sample pass: sampler-side union randomness is
 //! frontier-keyed whenever memoization is on (see `sampler.rs`), so
-//! before each sample pass the engine can pre-estimate the level's hot
+//! before each sample pass the engine pre-estimates the level's hot
 //! sampler frontiers once — the depth-two predecessor frontiers
 //! reachable from the live cells' count-pass groups — and seed the
 //! shared layer ([`MemoTier::Shared`]). Per-cell sampling then hits the
-//! memo instead of re-running `AppUnion` per cell.
-//! `Params::share_sampler_frontiers = false` skips the pre-pass; cells
-//! lazily recompute bit-identical values — same output, equal or more
-//! work (on thin levels every hot frontier is missed at most once
-//! anyway; the pre-pass pays off when several cells would miss the
-//! same frontier, and can even over-estimate branches no walk takes) —
-//! the honest unshared baseline, exactly like `batch_unions`.
+//! memo instead of re-running `AppUnion` per cell. A frontier the
+//! pre-pass does not seed is estimated lazily by the first cell that
+//! needs it, on the same frontier-keyed stream, so the pre-pass changes
+//! work, never output (`tests::shared_tier_equals_lazy_recomputation`).
 
 pub mod batch;
 pub mod memo;
@@ -199,46 +193,37 @@ pub struct SampleOut {
     pub stats: RunStats,
 }
 
-/// Estimates one frontier group's union size (Algorithm 3 line 15 for
-/// every member `(cell, symbol)` pair at once).
-///
-/// Under `params.batch_unions` the estimation runs once; otherwise it is
-/// re-run once per member pair on a *clone* of the group RNG — identical
-/// draws, identical estimate, the per-pair cost the batched path saves.
-/// Group RNGs are derived from the frontier (never the member cells), so
-/// this function is the reason batching cannot change the output.
+/// Estimates one frontier group's union size once, for every member
+/// `(cell, symbol)` pair at once (Algorithm 3 line 15). The group RNG is
+/// derived from the frontier, never from a member cell, so every member
+/// receives exactly the estimate a per-pair call would have computed.
 pub fn run_group(
     ctx: &EngineCtx<'_>,
     table: &RunTable,
     ell: usize,
     group: &FrontierGroup,
-    rng: &SmallRng,
+    mut rng: SmallRng,
     scratch: &mut UnionScratch,
 ) -> GroupOut {
     let params = ctx.params;
     let mut stats = RunStats::default();
     let eps_sz = params.eps_sz_at_level(params.beta_count, ell);
     let inputs = frontier_inputs(table, ell - 1, &group.frontier);
-    let repeats = if params.batch_unions { 1 } else { group.members };
-    let mut estimate = ExtFloat::ZERO;
-    for _ in 0..repeats {
-        let mut r = rng.clone();
-        estimate = app_union(
-            params,
-            params.beta_count,
-            params.delta_count_inner(),
-            eps_sz,
-            &inputs,
-            ctx.m,
-            &mut r,
-            scratch,
-            &mut stats,
-        )
-        .value;
-        stats.batch.unions_run += 1;
-    }
-    // Pairs beyond the `repeats` executed were answered by sharing.
-    let shared = u64::from(group.members) - u64::from(repeats);
+    let estimate = app_union(
+        params,
+        params.beta_count,
+        params.delta_count_inner(),
+        eps_sz,
+        &inputs,
+        ctx.m,
+        &mut rng,
+        scratch,
+        &mut stats,
+    )
+    .value;
+    stats.batch.unions_run += 1;
+    // Every member after the first is answered by sharing.
+    let shared = u64::from(group.members) - 1;
     stats.batch.cells_deduped += shared;
     stats.batch.unions_skipped += shared;
     GroupOut { estimate, stats }
@@ -492,10 +477,9 @@ pub(crate) fn run_level<P: ExecutionPolicy>(
     }
     // The plan's static dedup count and the pass's dynamic
     // accounting are two definitions of the same quantity; a
-    // complete batched pass must reconcile them exactly.
+    // complete pass must reconcile them exactly.
     debug_assert!(
         count_truncated
-            || !params.batch_unions
             || pass.groups.iter().map(|g| g.stats.batch.cells_deduped).sum::<u64>()
                 == plan.deduped_pairs(),
         "plan and pass disagree on deduplicated pairs"
@@ -511,7 +495,7 @@ pub(crate) fn run_level<P: ExecutionPolicy>(
     let share_start = Instant::now();
     let live: Vec<StateId> =
         useful.iter().copied().filter(|&q| !table.cell(ell, q as usize).n_est.is_zero()).collect();
-    if params.share_sampler_frontiers && params.memoize_unions {
+    if params.memoize_unions {
         let jobs = collect_share_jobs(ctx, &plan, memo, ell, &live, stats);
         let ops_remaining =
             params.max_membership_ops.map(|b| b.saturating_sub(stats.membership_ops));
@@ -906,7 +890,6 @@ mod tests {
         let nfa = contains_11();
         let n = 8;
         let mut params = Params::practical(0.3, 0.1, 3, n);
-        assert!(params.share_sampler_frontiers);
         // Unbounded run: total ops with the pre-pass fully executed.
         let total = {
             let mut rng = SmallRng::seed_from_u64(2);
@@ -978,5 +961,58 @@ mod tests {
             assert_eq!(w.len(), n);
             assert!(nfa.accepts(&w));
         }
+    }
+
+    #[test]
+    fn shared_tier_equals_lazy_recomputation() {
+        // Every entry the sharing pre-pass seeds must hold exactly the
+        // value the sampler's lazy miss path would compute for its key:
+        // the same frontier-keyed stream over the same (by then final)
+        // table level. Checked after whole runs, for both policies.
+        use crate::sampler::estimate_frontier_union;
+        use fpras_workloads::{random_nfa, RandomNfaConfig};
+        let mut shared_entries = 0usize;
+        for case in 0..12u64 {
+            let config = RandomNfaConfig {
+                states: 3 + (case % 5) as usize,
+                alphabet: 2,
+                density: 1.6 + (case % 3) as f64 * 0.5,
+                accepting: 1,
+            };
+            let nfa = random_nfa(&config, &mut SmallRng::seed_from_u64(100 + case));
+            let n = 6 + (case % 3) as usize;
+            let params = Params::practical(0.4, 0.1, config.states, n);
+            let serial = FprasRun::run(&nfa, n, &params, &mut SmallRng::seed_from_u64(case));
+            let parallel = run_parallel(&nfa, n, &params, case, 3);
+            for run in [serial.unwrap(), parallel.unwrap()] {
+                let Some(inner) = run.inner.as_ref() else { continue };
+                let m = inner.table.num_states();
+                let mut scratch = UnionScratch::new();
+                for (key, entry) in inner.memo.entries() {
+                    if entry.tier != MemoTier::Shared {
+                        continue;
+                    }
+                    let mut frontier = StateSet::empty(m);
+                    inner.interner.with_words(key.frontier(), |w| frontier.union_with_words(w));
+                    let lazy = estimate_frontier_union(
+                        &params,
+                        &inner.table,
+                        *key,
+                        &frontier,
+                        inner.sampler_seed,
+                        &mut scratch,
+                        &mut RunStats::default(),
+                    );
+                    assert_eq!(
+                        entry.value,
+                        lazy,
+                        "case {case}: shared entry at level {} differs from lazy value",
+                        key.level()
+                    );
+                    shared_entries += 1;
+                }
+            }
+        }
+        assert!(shared_entries > 20, "only {shared_entries} shared entries checked");
     }
 }

@@ -10,8 +10,8 @@
 //! RNG stream feeding a group's union estimation is derived from the
 //! group (its canonical [`MemoKey::rng_tag`] under `Deterministic`, one
 //! sub-seed drawn per group in canonical order under `Serial`), never
-//! from a member cell. That is what makes batched and unbatched count
-//! passes bit-identical — see `engine/batch.rs`.
+//! from a member cell. That is what lets one estimate per group stand
+//! for every member pair — see `engine/batch.rs`.
 
 use super::{
     assemble_count_cell, run_group, sample_cell, CountPass, EngineCtx, SampleOut, ShareJob,
@@ -60,6 +60,13 @@ pub(crate) const PHASE_SAMPLER_UNION: u64 = 4;
 const PHASE_SAMPLER_SEED: u64 = 5;
 /// Salt xor'd into every phase tag before mixing.
 pub(crate) const PHASE_SALT: u64 = 0xA5A5_5A5A;
+
+/// Work items a [`Deterministic`] pool worker claims per cursor
+/// interaction (D10): the granularity of both normal claiming and
+/// stealing, and the sequential-fallback cutoff (passes with fewer than
+/// `threads × STEAL_CHUNK` items run inline). Scheduling-only — any
+/// value produces bit-identical output.
+const STEAL_CHUNK: usize = 2;
 
 /// How the per-cell work of one engine pass is executed.
 ///
@@ -168,9 +175,8 @@ impl<R: Rng + ?Sized> ExecutionPolicy for Serial<'_, R> {
         ops_remaining: Option<u64>,
     ) -> CountPass {
         let ell = plan.level();
-        // One sub-seed per group, drawn in canonical order — the same
-        // main-stream consumption whether batching is on or off, so the
-        // two modes stay bit-identical through the later passes too.
+        // One sub-seed per group, drawn in canonical order: the main
+        // stream's consumption depends on the plan, never on a cell.
         // Per-group budget granularity: stop as soon as the pass has
         // burned through the remaining op budget (the engine then
         // reports BudgetExceeded without paying for the rest of the
@@ -180,7 +186,7 @@ impl<R: Rng + ?Sized> ExecutionPolicy for Serial<'_, R> {
         let mut groups = Vec::with_capacity(plan.groups().len());
         for group in plan.groups() {
             let rng = SmallRng::seed_from_u64(self.rng.random::<u64>());
-            let out = run_group(ctx, table, ell, group, &rng, &mut scratch);
+            let out = run_group(ctx, table, ell, group, rng, &mut scratch);
             used += out.stats.membership_ops;
             groups.push(out);
             if budget_spent(used, ops_remaining) {
@@ -266,7 +272,7 @@ impl<R: Rng + ?Sized> ExecutionPolicy for Serial<'_, R> {
 /// mixing, and each pass fans out over the policy's persistent
 /// work-stealing [`Pool`] (`engine/pool.rs`): workers are spawned once
 /// per policy, parked between passes, and balance skewed levels by
-/// stealing `steal_chunk`-sized chunks from each other's ranges. The
+/// stealing `STEAL_CHUNK`-sized chunks from each other's ranges. The
 /// sample pass gives every cell the level-start memo snapshot and
 /// merges new entries back in a canonical order, so the output is
 /// **bit-identical for any thread count and any schedule** —
@@ -337,28 +343,27 @@ impl ExecutionPolicy for Deterministic {
     ) -> CountPass {
         let seed = self.master_seed;
         let ell = plan.level();
-        let chunk = ctx.params.steal_chunk;
         // Group RNG streams are keyed by the frontier's canonical tag —
         // independent of both scheduling and the member cells, so any
-        // thread count (and batched vs unbatched) produces identical
-        // estimates. Group cost is dominated by AppUnion trials, the
-        // skewed part of the count pass, so worker ops are attributed
-        // here; cell assembly is summation only.
+        // thread count produces identical estimates. Group cost is
+        // dominated by AppUnion trials, the skewed part of the count
+        // pass, so worker ops are attributed here; cell assembly is
+        // summation only.
         let indices: Vec<usize> = (0..plan.groups().len()).collect();
         let groups = self.pool.map_with_ops(
             &indices,
-            chunk,
+            STEAL_CHUNK,
             |&gi| {
                 let rng = group_rng(seed, plan.key(gi).rng_tag());
                 UNION_SCRATCH.with(|s| {
-                    run_group(ctx, table, ell, &plan.groups()[gi], &rng, &mut s.borrow_mut())
+                    run_group(ctx, table, ell, &plan.groups()[gi], rng, &mut s.borrow_mut())
                 })
             },
             |g| g.stats.membership_ops,
         );
         let estimates: Vec<ExtFloat> = groups.iter().map(|g| g.estimate).collect();
         let cell_indices: Vec<usize> = (0..plan.cells().len()).collect();
-        let cells = self.pool.map(&cell_indices, chunk, |&i| {
+        let cells = self.pool.map(&cell_indices, STEAL_CHUNK, |&i| {
             let q = plan.cells()[i];
             let mut rng = cell_rng(seed, ell, q, PHASE_COUNT);
             assemble_count_cell(ctx, ell, q, plan.cell_groups(i), &estimates, &mut rng)
@@ -384,7 +389,7 @@ impl ExecutionPolicy for Deterministic {
         let snapshot = memo.snapshot();
         let mut outs: Vec<(SampleOut, Vec<(MemoKey, MemoEntry)>)> = self.pool.map_with_ops(
             cells,
-            ctx.params.steal_chunk,
+            STEAL_CHUNK,
             |&q| {
                 let mut rng = cell_rng(seed, ell, q, PHASE_SAMPLE);
                 let mut local_memo = snapshot.snapshot();
@@ -436,7 +441,7 @@ impl ExecutionPolicy for Deterministic {
     ) -> Vec<ShareOut> {
         self.pool.map_with_ops(
             jobs,
-            ctx.params.steal_chunk,
+            STEAL_CHUNK,
             |job| {
                 let mut stats = RunStats::default();
                 let estimate = UNION_SCRATCH.with(|s| {

@@ -19,7 +19,8 @@
 //! lifetime of the owning policy and parked on a condvar between
 //! passes. A pass publishes one type-erased job; every worker (the
 //! caller participates as worker 0) claims items through per-worker
-//! **atomic range cursors** in chunks of `steal_chunk`, and a worker
+//! **atomic range cursors** in chunks of `steal_chunk` (the engine
+//! passes a constant 2), and a worker
 //! whose own range is drained *steals* chunks from the other ranges
 //! until the whole item list is exhausted. Results are written into a
 //! pre-sized output slab by input index, so the output order — and
@@ -74,7 +75,7 @@ struct JobCore {
     ranges: Vec<Range<usize>>,
     /// Claim cursor per range; claims are `fetch_add(chunk)`.
     cursors: Vec<AtomicUsize>,
-    /// Items claimed per `fetch_add` — the `steal_chunk` knob.
+    /// Items claimed per `fetch_add` — the caller's `steal_chunk`.
     chunk: usize,
     /// Total item count of the pass.
     total: usize,

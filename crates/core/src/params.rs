@@ -51,6 +51,11 @@ pub enum Profile {
 }
 
 /// Fully-resolved run parameters for one `(A, n, ε, δ)` instance.
+///
+/// Every field can change a run's output. Work sharing that provably
+/// cannot — batched count-pass unions (D8), the sample-pass sharing
+/// pre-pass (D9) and the executor's claim granularity (D10) — is always
+/// on and has no field here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Params {
     /// Target relative accuracy ε of the final estimate.
@@ -105,29 +110,6 @@ pub struct Params {
     /// fresh run there (DESIGN.md D11). For plain runs this equals the
     /// `n` the params were built for, so nothing changes.
     pub n_hint: usize,
-    /// Share count-phase union estimates across `(cell, symbol)` pairs
-    /// with identical predecessor frontiers (D8). The estimate RNG is
-    /// keyed by the frontier either way, so toggling this knob changes
-    /// *work*, never output: `false` re-runs the identical estimation
-    /// once per pair (the honest unbatched baseline for benchmarks).
-    pub batch_unions: bool,
-    /// Pre-estimate each level's hot sampler frontiers once before the
-    /// sample pass and seed the shared memo layer (D9), so per-cell
-    /// sampling hits the memo instead of re-running `AppUnion`. Sampler
-    /// union estimation is frontier-keyed whenever `memoize_unions` is
-    /// on, so toggling this knob changes *work*, never output — the
-    /// sample-pass mirror of [`Params::batch_unions`]. Ignored (no
-    /// pre-pass runs) when `memoize_unions` is off.
-    pub share_sampler_frontiers: bool,
-    /// Work items the executor claims per cursor interaction (D10): the
-    /// granularity of both normal claiming and stealing in the
-    /// `Deterministic` policy's work-stealing pool, and the
-    /// sequential-fallback cutoff (passes with fewer items than
-    /// `threads × steal_chunk` run inline instead of waking workers).
-    /// Scheduling-only: any value produces bit-identical output. Small
-    /// values balance skewed levels better; larger values cut atomic
-    /// traffic on uniform ones.
-    pub steal_chunk: usize,
     /// Optional hard cap on membership operations; the run aborts with
     /// [`FprasError::BudgetExceeded`] when exceeded.
     pub max_membership_ops: Option<u64>,
@@ -168,9 +150,6 @@ impl Params {
             cursor: CursorPolicy::PaperBreak,
             trim_dead: false,
             n_hint: n.max(1),
-            batch_unions: false,
-            share_sampler_frontiers: false,
-            steal_chunk: 2,
             max_membership_ops: None,
         }
     }
@@ -208,9 +187,6 @@ impl Params {
             cursor: CursorPolicy::Cyclic,
             trim_dead: true,
             n_hint: n.max(1),
-            batch_unions: true,
-            share_sampler_frontiers: true,
-            steal_chunk: 2,
             max_membership_ops: None,
         }
     }
@@ -260,9 +236,6 @@ impl Params {
             if !(v > 0.0 && v.is_finite()) {
                 return Err(FprasError::InvalidParams(format!("{name} must be positive, got {v}")));
             }
-        }
-        if self.steal_chunk == 0 {
-            return Err(FprasError::InvalidParams("steal_chunk must be positive".into()));
         }
         if self.n_hint == 0 {
             return Err(FprasError::InvalidParams(
@@ -346,7 +319,7 @@ impl Params {
         ] {
             mix(f.to_bits());
         }
-        for u in [self.ns as u64, self.xns as u64, self.n_hint as u64, self.steal_chunk as u64] {
+        for u in [self.ns as u64, self.xns as u64, self.n_hint as u64] {
             mix(u);
         }
         let bools = [
@@ -355,8 +328,6 @@ impl Params {
             self.rotate_cursor,
             self.cursor == CursorPolicy::Cyclic,
             self.trim_dead,
-            self.batch_unions,
-            self.share_sampler_frontiers,
         ];
         mix(bools.iter().fold(0u64, |a, &b| (a << 1) | b as u64));
         // Separate discriminant and payload: folding None into a
@@ -430,9 +401,6 @@ mod tests {
         assert!(p.validate().is_err());
         let mut p = Params::practical(0.3, 0.05, 8, 8);
         p.gamma_scale = 1.5;
-        assert!(p.validate().is_err());
-        let mut p = Params::practical(0.3, 0.05, 8, 8);
-        p.steal_chunk = 0;
         assert!(p.validate().is_err());
     }
 

@@ -134,7 +134,7 @@ pub struct PoolStats {
     /// Passes fanned out over the pool's workers.
     pub parallel_passes: u64,
     /// Passes that took the sequential cutoff (fewer items than
-    /// `threads × steal_chunk`) and ran inline on the caller.
+    /// `threads × steal_chunk`, D10) and ran inline on the caller.
     pub sequential_passes: u64,
     /// Items executed across all parallel passes.
     pub parallel_items: u64,

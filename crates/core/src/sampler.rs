@@ -28,10 +28,9 @@
 //! count pass uses (DESIGN.md D8). Any cell that estimates a given
 //! frontier therefore computes the *identical* value, which is what lets
 //! the engine pre-estimate hot frontiers once per level and share them
-//! (`Params::share_sampler_frontiers`) without changing a single output
-//! bit. With memoization off (paper profile) every query draws fresh
-//! randomness from the caller's stream, preserving the paper's
-//! independent-estimates reading.
+//! without changing a single output bit. With memoization off (paper
+//! profile) every query draws fresh randomness from the caller's
+//! stream, preserving the paper's independent-estimates reading.
 
 use crate::appunion::{app_union, frontier_inputs, UnionScratch};
 use crate::engine::memo::{MemoTier, UnionMemo};

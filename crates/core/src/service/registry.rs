@@ -432,7 +432,7 @@ mod tests {
         assert_ne!(p1.fingerprint(), p2.fingerprint());
         assert_eq!(p1.fingerprint(), p1.clone().fingerprint());
         let mut p3 = p1.clone();
-        p3.batch_unions = !p3.batch_unions;
+        p3.rotate_cursor = !p3.rotate_cursor;
         assert_ne!(p1.fingerprint(), p3.fingerprint());
     }
 

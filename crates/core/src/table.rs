@@ -83,8 +83,8 @@ impl RunTable {
 /// union-estimation layer (DESIGN.md D8): every `(cell, symbol)` pair
 /// whose predecessor frontier produces the same `MemoKey` shares one
 /// `AppUnion` execution, one memo entry, and — via [`MemoKey::rng_tag`]
-/// — one RNG stream, which is what makes batched and unbatched count
-/// passes bit-identical.
+/// — one RNG stream, which is what lets one estimate stand for every
+/// pair in the group.
 ///
 /// Keys are built only by
 /// [`FrontierInterner::intern`](crate::intern::FrontierInterner::intern),

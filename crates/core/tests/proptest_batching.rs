@@ -1,99 +1,18 @@
 //! Property tests for the batched union-estimation layer (D8).
 //!
-//! Two families of properties:
-//!
-//! * **Batched ≡ unbatched** — on random NFAs, toggling
-//!   `Params::batch_unions` must not change a single cell of the run
-//!   (estimates, stored samples, or the final count) for either policy
-//!   under the same seed. The batched path shares one `AppUnion` result
-//!   per distinct frontier; the unbatched path re-runs it per
-//!   `(cell, symbol)` pair on a clone of the same frontier-keyed RNG —
-//!   any divergence means the fan-out, the canonical grouping, or the
-//!   RNG discipline is wrong.
-//! * **Canonicalization is a congruence** — equal frontiers produce
-//!   equal memo keys and equal RNG tags regardless of how the sets were
-//!   assembled (insertion order, universe padding), and unequal
-//!   frontiers produce distinct keys.
+//! **Canonicalization is a congruence** — equal frontiers produce equal
+//! memo keys and equal RNG tags regardless of how the sets were
+//! assembled (insertion order, universe padding), and unequal frontiers
+//! produce distinct keys. That every `(cell, symbol)` pair lands in the
+//! group of its own frontier is checked in-crate, next to `LevelPlan`
+//! (`engine::batch::tests::plan_groups_match_per_pair_frontiers`).
 
 use fpras_automata::StateSet;
-use fpras_core::{run_parallel, FprasRun, FrontierInterner, Params};
-use fpras_workloads::{random_nfa, RandomNfaConfig};
+use fpras_core::FrontierInterner;
 use proptest::prelude::*;
-use rand::{rngs::SmallRng, SeedableRng};
-
-/// Compares every observable cell of two runs.
-fn assert_runs_identical(a: &FprasRun, b: &FprasRun, label: &str) {
-    assert_eq!(a.estimate().to_f64(), b.estimate().to_f64(), "{label}: estimate");
-    let (Some(m), Some(mb)) = (a.normalized_states(), b.normalized_states()) else {
-        // Degenerate runs carry no table; the estimates already matched.
-        return;
-    };
-    assert_eq!(m, mb, "{label}: normalized size");
-    for ell in 0..=a.n() {
-        for q in 0..m as u32 {
-            assert_eq!(
-                a.cell_estimate(q, ell).map(|e| e.to_f64()),
-                b.cell_estimate(q, ell).map(|e| e.to_f64()),
-                "{label}: N({q},{ell})"
-            );
-            assert_eq!(
-                a.cell_genuine_samples(q, ell),
-                b.cell_genuine_samples(q, ell),
-                "{label}: S({q},{ell})"
-            );
-        }
-    }
-    // Sampler-side counters must agree too: the memo both passes seeded
-    // must be interchangeable.
-    assert_eq!(a.stats().sample_calls, b.stats().sample_calls, "{label}: sample calls");
-    assert_eq!(a.stats().memo_hits, b.stats().memo_hits, "{label}: memo hits");
-    assert_eq!(a.stats().samples_stored, b.stats().samples_stored, "{label}: samples");
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn batched_equals_unbatched_cell_for_cell(
-        states in 2usize..7,
-        density_tenths in 10u32..28,
-        alphabet in 2usize..4,
-        n in 4usize..9,
-        instance_seed in 0u64..1_000,
-        run_seed in 0u64..1_000,
-    ) {
-        let config = RandomNfaConfig {
-            states,
-            alphabet,
-            density: density_tenths as f64 / 10.0,
-            accepting: 1,
-        };
-        let nfa = random_nfa(&config, &mut SmallRng::seed_from_u64(instance_seed));
-        let mut batched = Params::practical(0.4, 0.1, states, n);
-        batched.batch_unions = true;
-        let mut unbatched = batched.clone();
-        unbatched.batch_unions = false;
-
-        // Serial policy: one caller RNG, sub-seeded per frontier group.
-        let mut rng_a = SmallRng::seed_from_u64(run_seed);
-        let mut rng_b = SmallRng::seed_from_u64(run_seed);
-        let a = FprasRun::run(&nfa, n, &batched, &mut rng_a).unwrap();
-        let b = FprasRun::run(&nfa, n, &unbatched, &mut rng_b).unwrap();
-        assert_runs_identical(&a, &b, "serial");
-        // The RNG streams must remain aligned *after* the run too, or a
-        // later consumer of the same RNG would diverge between modes.
-        prop_assert_eq!(rng_a, rng_b);
-
-        // Deterministic policy: frontier-tag-derived group streams.
-        let c = run_parallel(&nfa, n, &batched, run_seed, 3).unwrap();
-        let d = run_parallel(&nfa, n, &unbatched, run_seed, 3).unwrap();
-        assert_runs_identical(&c, &d, "deterministic");
-
-        // Work bookkeeping: identical output, work strictly ordered.
-        prop_assert!(a.stats().membership_ops <= b.stats().membership_ops);
-        prop_assert_eq!(b.stats().batch.cells_deduped, 0);
-        prop_assert!(a.stats().batch.unions_run <= b.stats().batch.unions_run);
-    }
 
     #[test]
     fn frontier_key_is_a_congruence(

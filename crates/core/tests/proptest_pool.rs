@@ -1,22 +1,17 @@
 //! Property tests for the work-stealing executor (D10).
 //!
-//! Three families of properties:
+//! Two families of properties:
 //!
 //! * **Pool ≡ static split** — on random item counts, thread counts and
 //!   chunk sizes, `Pool::map` must reproduce the sequential map and the
 //!   old `chunked_map` static split (kept here as the reference
 //!   implementation) exactly, order and values. Any divergence means an
 //!   index was claimed twice, dropped, or written to the wrong slot.
-//! * **Scheduling knobs are invisible** — whole FPRAS runs on random
-//!   NFAs must be bit-identical cell-for-cell when only `steal_chunk`
-//!   changes: the chunk size moves work between workers and flips the
-//!   sequential cutoff, neither of which may touch any RNG stream.
 //! * **Accounting closes** — every item of every pass is attributed to
 //!   exactly one worker (or the sequential path); steals never exceed
 //!   chunk claims.
 
-use fpras_core::{run_parallel, FprasRun, Params, Pool};
-use fpras_workloads::{random_nfa, RandomNfaConfig};
+use fpras_core::Pool;
 use proptest::prelude::*;
 
 /// The pre-D10 static split, verbatim semantics: cut the items into
@@ -46,33 +41,6 @@ where
         chunks_out = handles.into_iter().map(|h| h.join().expect("worker panicked")).collect();
     });
     chunks_out.into_iter().flatten().collect()
-}
-
-/// Compares every observable cell of two runs (same helper shape as the
-/// batching/memo proptests).
-fn assert_runs_identical(a: &FprasRun, b: &FprasRun, label: &str) {
-    assert_eq!(a.estimate().to_f64(), b.estimate().to_f64(), "{label}: estimate");
-    let (Some(m), Some(mb)) = (a.normalized_states(), b.normalized_states()) else {
-        return;
-    };
-    assert_eq!(m, mb, "{label}: normalized size");
-    for ell in 0..=a.n() {
-        for q in 0..m as u32 {
-            assert_eq!(
-                a.cell_estimate(q, ell).map(|e| e.to_f64()),
-                b.cell_estimate(q, ell).map(|e| e.to_f64()),
-                "{label}: N({q},{ell})"
-            );
-            assert_eq!(
-                a.cell_genuine_samples(q, ell),
-                b.cell_genuine_samples(q, ell),
-                "{label}: S({q},{ell})"
-            );
-        }
-    }
-    assert_eq!(a.stats().membership_ops, b.stats().membership_ops, "{label}: ops");
-    assert_eq!(a.stats().sample_calls, b.stats().sample_calls, "{label}: sample calls");
-    assert_eq!(a.stats().memo_hits, b.stats().memo_hits, "{label}: memo hits");
 }
 
 proptest! {
@@ -128,38 +96,4 @@ proptest! {
             prop_assert_eq!(out, items.iter().map(|&x| x * 31 + r).collect::<Vec<_>>());
         }
     }
-
-    #[test]
-    fn steal_chunk_is_invisible_in_the_output(
-        states in 2usize..6,
-        density_tenths in 10u32..26,
-        n in 5usize..9,
-        seed in 0u64..500,
-        chunk in 1usize..9,
-    ) {
-        let config = RandomNfaConfig {
-            states,
-            alphabet: 2,
-            density: density_tenths as f64 / 10.0,
-            accepting: 1,
-        };
-        let nfa = random_nfa(&config, &mut rand::rngs::SmallRng::seed_from_u64(seed));
-        let mut params = Params::practical(0.4, 0.2, states, n);
-        let base = run_parallel(&nfa, n, &params, seed, 4).expect("default chunk");
-        params.steal_chunk = chunk;
-        let tuned = run_parallel(&nfa, n, &params, seed, 4).expect("tuned chunk");
-        assert_runs_identical(&base, &tuned, &format!("chunk {chunk} seed {seed}"));
-        // And an extreme chunk (forces the sequential cutoff on every
-        // pass) still reproduces the run bit-for-bit.
-        params.steal_chunk = 1_000_000;
-        let sequentialized = run_parallel(&nfa, n, &params, seed, 4).expect("huge chunk");
-        assert_runs_identical(&base, &sequentialized, &format!("cutoff-only seed {seed}"));
-        prop_assert_eq!(
-            sequentialized.stats().pool.parallel_passes,
-            0,
-            "a huge chunk must sequentialize every pass"
-        );
-    }
 }
-
-use rand::SeedableRng;

@@ -67,9 +67,6 @@ struct Args {
     enumerate: usize,
     dot: bool,
     stats: bool,
-    no_batch: bool,
-    no_share: bool,
-    steal_chunk: Option<usize>,
     trace_out: Option<String>,
 }
 
@@ -86,16 +83,11 @@ fn usage() -> ! {
         "usage: nfa-count (--regex PATTERN | --file PATH) -n LENGTH\n\
          \t[--method fpras|path-is|dp|bdd] [--threads T=0]\n\
          \t[--eps E=0.2] [--delta D=0.05] [--seed S=42] [--sample K]\n\
-         \t[--enumerate K] [--exact] [--dot] [--stats] [--no-batch]\n\
-         \t[--no-share] [--steal-chunk C=2] [--trace-out FILE]\n\
+         \t[--enumerate K] [--exact] [--dot] [--stats] [--trace-out FILE]\n\
          \n\
          --threads 0 runs the FPRAS engine's Serial policy; T >= 1 runs\n\
          the Deterministic policy on T workers (output depends only on\n\
-         --seed, never on T). --no-batch disables batched union\n\
-         estimation and --no-share disables sample-pass frontier\n\
-         sharing (same output, more work; for benchmarking).\n\
-         --steal-chunk sets the work-stealing executor's claim\n\
-         granularity (scheduling-only: any value is bit-identical).\n\
+         --seed, never on T).\n\
          --stats prints the full run counters, including the batching,\n\
          memo, sharing, executor, and phase-wall numbers.\n\
          --trace-out streams structured run events (level passes, memo\n\
@@ -142,9 +134,6 @@ fn parse_args() -> Args {
         enumerate: 0,
         dot: false,
         stats: false,
-        no_batch: false,
-        no_share: false,
-        steal_chunk: None,
         trace_out: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -187,14 +176,6 @@ fn parse_args() -> Args {
             "--exact" => args.exact = true,
             "--dot" => args.dot = true,
             "--stats" => args.stats = true,
-            "--no-batch" => args.no_batch = true,
-            "--no-share" => args.no_share = true,
-            "--steal-chunk" => {
-                args.steal_chunk = Some(
-                    parse_value_or_report("--steal-chunk", &value(&mut i))
-                        .unwrap_or_else(|| usage()),
-                )
-            }
             "--trace-out" => args.trace_out = Some(value(&mut i)),
             "--method" => {
                 args.method = match value(&mut i).as_str() {
@@ -231,17 +212,8 @@ fn parse_args() -> Args {
     if args.n == usize::MAX || (args.regex.is_none() == args.file.is_none()) {
         usage();
     }
-    if args.method != Method::Fpras
-        && (args.stats
-            || args.no_batch
-            || args.no_share
-            || args.steal_chunk.is_some()
-            || args.trace_out.is_some())
-    {
-        eprintln!(
-            "--stats, --no-batch, --no-share, --steal-chunk and --trace-out require \
-             --method fpras"
-        );
+    if args.method != Method::Fpras && (args.stats || args.trace_out.is_some()) {
+        eprintln!("--stats and --trace-out require --method fpras");
         usage();
     }
     args
@@ -1230,16 +1202,7 @@ fn main() {
     let mut fpras_run: Option<FprasRun> = None;
     match args.method {
         Method::Fpras => {
-            let mut params = Params::practical(args.eps, args.delta, nfa.num_states(), args.n);
-            if args.no_batch {
-                params.batch_unions = false;
-            }
-            if args.no_share {
-                params.share_sampler_frontiers = false;
-            }
-            if let Some(chunk) = args.steal_chunk {
-                params.steal_chunk = chunk;
-            }
+            let params = Params::practical(args.eps, args.delta, nfa.num_states(), args.n);
             // One checker for every surface (engine, sessions, CLI):
             // fail fast with a clean message instead of a mid-run error.
             if let Err(e) = params.validate() {

@@ -126,8 +126,9 @@ fn assert_stats_invariants(stats: &RunStats, k: u64, label: &str) {
         stats.batch.cells_deduped,
         stats.batch.unions_skipped
     );
-    // Groups cannot outnumber executed estimations in batched mode nor
-    // pairs in any mode.
+    // Each group's union runs exactly once, and groups cannot outnumber
+    // pairs.
+    assert_eq!(stats.batch.groups_formed, stats.batch.unions_run, "{label}: one union per group");
     assert!(stats.batch.groups_formed <= pairs, "{label}: groups exceed pairs");
     // The count pass runs AppUnion exactly unions_run times; the rest of
     // appunion_calls belong to the sampler's memo misses and the
@@ -156,55 +157,45 @@ fn run_stats_union_invariants_hold_for_all_paths() {
         ("div-by-5", families::divisible_by(5), 9),
     ] {
         let k = nfa.alphabet().size() as u64;
-        for batch in [true, false] {
-            let mut params = Params::practical(0.3, 0.1, nfa.num_states(), n);
-            params.batch_unions = batch;
-            let mut rng = SmallRng::seed_from_u64(17);
-            let serial = FprasRun::run(&nfa, n, &params, &mut rng).unwrap();
-            assert_stats_invariants(serial.stats(), k, &format!("{label}/serial/batch={batch}"));
-            let det = run_parallel(&nfa, n, &params, 17, 4).unwrap();
-            assert_stats_invariants(det.stats(), k, &format!("{label}/det/batch={batch}"));
-            if batch {
-                assert!(
-                    serial.stats().batch.cells_deduped > 0,
-                    "{label}: these fixtures share frontiers, dedup must fire"
-                );
-                // Sample-pass sharing (on by default in the practical
-                // profile) must engage: every hot frontier is either
-                // pre-estimated or found already seeded. On deterministic
-                // automata (div-by-5) all depth-two frontiers are
-                // singletons the count pass already seeded — zero
-                // pre-estimates is the correct outcome there; the
-                // nondeterministic fixture must produce genuinely new
-                // shared entries and the Deterministic policy's cells
-                // must consume them.
-                assert!(
-                    serial.stats().share.frontiers_preestimated
-                        + serial.stats().share.keys_already_seeded
-                        > 0,
-                    "{label}: sharing pre-pass must inspect hot frontiers"
-                );
-                if label == "contains-11" {
-                    assert!(
-                        serial.stats().share.frontiers_preestimated > 0,
-                        "{label}: sharing pre-pass must estimate hot frontiers"
-                    );
-                    assert!(
-                        det.stats().share.preestimate_hits > 0,
-                        "{label}: deterministic cells must hit pre-estimated entries"
-                    );
-                }
-                // And no cell deep-cloned the memo: every snapshot shared
-                // the base layer.
-                assert!(
-                    det.stats().memo.snapshots > 0 && det.stats().memo.entries_shared > 0,
-                    "{label}: CoW snapshots must be taken and share the base"
-                );
-            } else {
-                assert_eq!(serial.stats().batch.cells_deduped, 0, "{label}");
-                assert_eq!(det.stats().batch.cells_deduped, 0, "{label}");
-            }
+        let params = Params::practical(0.3, 0.1, nfa.num_states(), n);
+        let mut rng = SmallRng::seed_from_u64(17);
+        let serial = FprasRun::run(&nfa, n, &params, &mut rng).unwrap();
+        assert_stats_invariants(serial.stats(), k, &format!("{label}/serial"));
+        let det = run_parallel(&nfa, n, &params, 17, 4).unwrap();
+        assert_stats_invariants(det.stats(), k, &format!("{label}/det"));
+        assert!(
+            serial.stats().batch.cells_deduped > 0,
+            "{label}: these fixtures share frontiers, dedup must fire"
+        );
+        // Sample-pass sharing must engage: every hot frontier is
+        // either pre-estimated or found already seeded. On deterministic
+        // automata (div-by-5) all depth-two frontiers are
+        // singletons the count pass already seeded — zero
+        // pre-estimates is the correct outcome there; the
+        // nondeterministic fixture must produce genuinely new
+        // shared entries and the Deterministic policy's cells
+        // must consume them.
+        assert!(
+            serial.stats().share.frontiers_preestimated + serial.stats().share.keys_already_seeded
+                > 0,
+            "{label}: sharing pre-pass must inspect hot frontiers"
+        );
+        if label == "contains-11" {
+            assert!(
+                serial.stats().share.frontiers_preestimated > 0,
+                "{label}: sharing pre-pass must estimate hot frontiers"
+            );
+            assert!(
+                det.stats().share.preestimate_hits > 0,
+                "{label}: deterministic cells must hit pre-estimated entries"
+            );
         }
+        // And no cell deep-cloned the memo: every snapshot shared
+        // the base layer.
+        assert!(
+            det.stats().memo.snapshots > 0 && det.stats().memo.entries_shared > 0,
+            "{label}: CoW snapshots must be taken and share the base"
+        );
     }
 }
 
@@ -225,7 +216,7 @@ fn pool_stats_surface_matches_the_policy() {
     assert!(pool.parallel_items + pool.sequential_items > 0, "passes must be recorded");
     assert_eq!(pool.worker_items.iter().sum::<u64>(), pool.parallel_items, "item attribution");
     // contains-11 normalizes to ≤ 4 states: every pass is below the
-    // threads × steal_chunk = 8 cutoff, so nothing may wake the pool.
+    // threads × steal chunk = 8 cutoff, so nothing may wake the pool.
     assert_eq!(pool.parallel_passes, 0, "tiny levels must take the sequential cutoff");
     assert_eq!(pool.steals, 0);
 

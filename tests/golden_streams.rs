@@ -1,7 +1,7 @@
 //! Golden-stream regression fixtures.
 //!
-//! The engine's whole bit-identity discipline (batched ≡ unbatched,
-//! shared ≡ unshared, thread-count invariance, session ≡ fresh) is
+//! The engine's whole bit-identity discipline (one estimate per shared
+//! frontier, thread-count invariance, session ≡ fresh) is
 //! anchored to concrete RNG streams: per-cell SplitMix64 streams under
 //! `Deterministic`, one caller stream under `Serial`, and the
 //! frontier-keyed union streams both share. A representation refactor

@@ -14,7 +14,7 @@ fn facade_counters_agree() {
     let n = 9;
     let exact = count_exact(&nfa, n).unwrap().to_f64();
     for kind in [
-        CounterKind::Fpras { threads: 0, batch: true, share: true },
+        CounterKind::Fpras { threads: 0 },
         CounterKind::Acjr,
         CounterKind::NaiveMc { trials: 60_000 },
         CounterKind::ExactDp,
@@ -58,15 +58,7 @@ fn naive_vs_fpras_on_thin_language() {
     let naive =
         run_counter(&CounterKind::NaiveMc { trials: 100_000 }, &nfa, n, 0.3, 0.1, 1).unwrap();
     assert!(naive.estimate.is_zero(), "naive should miss the 2^-22-density word");
-    let ours = run_counter(
-        &CounterKind::Fpras { threads: 0, batch: true, share: true },
-        &nfa,
-        n,
-        0.3,
-        0.1,
-        2,
-    )
-    .unwrap();
+    let ours = run_counter(&CounterKind::Fpras { threads: 0 }, &nfa, n, 0.3, 0.1, 2).unwrap();
     assert!((ours.estimate.to_f64() - 1.0).abs() < 0.3, "fpras est {}", ours.estimate);
 }
 
@@ -84,7 +76,7 @@ proptest! {
             &mut SmallRng::seed_from_u64(seed),
         );
         let exact = count_exact(&nfa, n).unwrap();
-        let out = run_counter(&CounterKind::Fpras { threads: 0, batch: true, share: true }, &nfa, n, 0.4, 0.2, seed).unwrap();
+        let out = run_counter(&CounterKind::Fpras { threads: 0 }, &nfa, n, 0.4, 0.2, seed).unwrap();
         if exact.is_zero() {
             prop_assert!(out.estimate.is_zero());
         } else {

@@ -78,22 +78,6 @@ fn stats_flag_reports_batching_counters() {
     assert!(stdout.contains("memo snapshots"), "{stdout}");
     assert!(grab("share pre-estimated") > 0, "sharing must fire on contains-11");
     assert!(grab("share pre-est hits") > 0, "pre-estimates must be consumed");
-    // --no-batch: same estimate line, zero dedup, more unions run.
-    let mut unbatched_args = args.to_vec();
-    unbatched_args.push("--no-batch");
-    let (stdout2, _, ok2) = run(&unbatched_args);
-    assert!(ok2);
-    let estimate = |s: &str| s.lines().find(|l| l.starts_with("estimate")).map(String::from);
-    assert_eq!(estimate(&stdout), estimate(&stdout2), "batching must not change the estimate");
-    assert!(stdout2.contains("batch cells deduped  0"), "{stdout2}");
-    // --no-share: still the same estimate, but no pre-estimation at all.
-    let mut unshared_args = args.to_vec();
-    unshared_args.push("--no-share");
-    let (stdout3, _, ok3) = run(&unshared_args);
-    assert!(ok3);
-    assert_eq!(estimate(&stdout), estimate(&stdout3), "sharing must not change the estimate");
-    assert!(stdout3.contains("share pre-estimated  0"), "{stdout3}");
-    assert!(stdout3.contains("share pre-est hits   0"), "{stdout3}");
     // The executor layer (D10) reports through the same surface; a
     // serial run never touches the pool.
     assert!(stdout.contains("pool parallel passes"), "{stdout}");
@@ -102,42 +86,26 @@ fn stats_flag_reports_batching_counters() {
 }
 
 #[test]
-fn steal_chunk_flag_is_scheduling_only() {
-    // Different chunk sizes (including one forcing the sequential
-    // cutoff everywhere) must reproduce the threaded estimate exactly.
-    let base = ["--regex", "(0|1)*11(0|1)*", "-n", "10", "--seed", "7", "--threads", "4"];
-    let estimate = |s: &str| s.lines().find(|l| l.starts_with("estimate")).map(String::from);
-    let (stdout, stderr, ok) = run(&base);
-    assert!(ok, "stderr: {stderr}");
-    for chunk in ["1", "3", "1000"] {
-        let mut args = base.to_vec();
-        args.extend_from_slice(&["--steal-chunk", chunk]);
-        let (stdout2, stderr2, ok2) = run(&args);
-        assert!(ok2, "stderr: {stderr2}");
-        assert_eq!(
-            estimate(&stdout),
-            estimate(&stdout2),
-            "steal chunk {chunk} must not change the estimate"
-        );
-    }
-    // Chunk 0 is rejected by parameter validation.
-    let mut args = base.to_vec();
-    args.extend_from_slice(&["--steal-chunk", "0"]);
-    let (_, stderr0, ok0) = run(&args);
-    assert!(!ok0, "steal chunk 0 must be rejected");
-    assert!(stderr0.contains("steal_chunk"), "{stderr0}");
-}
-
-#[test]
-fn stats_and_no_batch_are_fpras_only() {
-    for flags in
-        [&["--stats"][..], &["--no-batch"][..], &["--no-share"][..], &["--steal-chunk", "4"][..]]
-    {
+fn stats_and_trace_out_are_fpras_only() {
+    for flags in [&["--stats"][..], &["--trace-out", "unused.jsonl"][..]] {
         let mut args = vec!["--regex", "1*", "-n", "8", "--method", "dp"];
         args.extend_from_slice(flags);
         let (_, stderr, ok) = run(&args);
         assert!(!ok, "{flags:?} with --method dp must be a usage error");
         assert!(stderr.contains("require --method fpras"), "{stderr}");
+    }
+}
+
+#[test]
+fn work_sharing_flags_no_longer_exist() {
+    // Batching, sharing and the steal chunk are fixed engine behaviour,
+    // not options.
+    for flags in [&["--no-batch"][..], &["--no-share"][..], &["--steal-chunk", "4"][..]] {
+        let mut args = vec!["--regex", "1*", "-n", "8"];
+        args.extend_from_slice(flags);
+        let (_, stderr, ok) = run(&args);
+        assert!(!ok, "{flags:?} must be rejected");
+        assert!(stderr.contains("unknown argument"), "{stderr}");
     }
 }
 

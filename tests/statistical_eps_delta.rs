@@ -11,11 +11,8 @@
 //! through the envelope quickly.
 //!
 //! Every estimator path the engine exposes runs over the same fixtures:
-//! Serial and Deterministic policies, each with batched union estimation
-//! on and off, plus unshared controls for the sample-pass frontier
-//! sharing layer (D9) — and the same policy × batching grid again over
-//! the nROBP substrate (D14), whose node graph doubles as its exact
-//! oracle. The small smoke versions run in tier-1; the heavyweight
+//! the Serial and Deterministic policies, and both again over the nROBP
+//! substrate (D14), whose node graph doubles as its exact oracle. The small smoke versions run in tier-1; the heavyweight
 //! versions are `#[ignore]`d locally and executed by the CI job
 //! `cargo test --release -- --ignored`.
 
@@ -67,31 +64,14 @@ type Estimator = dyn Fn(&Nfa, usize, &Params, u64) -> f64;
 
 /// Every engine path the harness locks down, as (name, estimator).
 fn estimator_paths() -> Vec<(&'static str, Box<Estimator>)> {
-    let serial = |batch: bool, share: bool| {
-        move |nfa: &Nfa, n: usize, params: &Params, seed: u64| {
-            let mut p = params.clone();
-            p.batch_unions = batch;
-            p.share_sampler_frontiers = share;
-            let mut rng = SmallRng::seed_from_u64(seed);
-            FprasRun::run(nfa, n, &p, &mut rng).expect("run").estimate().to_f64()
-        }
+    let serial = |nfa: &Nfa, n: usize, params: &Params, seed: u64| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        FprasRun::run(nfa, n, params, &mut rng).expect("run").estimate().to_f64()
     };
-    let deterministic = |batch: bool, share: bool| {
-        move |nfa: &Nfa, n: usize, params: &Params, seed: u64| {
-            let mut p = params.clone();
-            p.batch_unions = batch;
-            p.share_sampler_frontiers = share;
-            run_parallel(nfa, n, &p, seed, 4).expect("run").estimate().to_f64()
-        }
+    let deterministic = |nfa: &Nfa, n: usize, params: &Params, seed: u64| {
+        run_parallel(nfa, n, params, seed, 4).expect("run").estimate().to_f64()
     };
-    vec![
-        ("serial+batched", Box::new(serial(true, true))),
-        ("serial+unbatched", Box::new(serial(false, true))),
-        ("serial+unshared", Box::new(serial(true, false))),
-        ("deterministic+batched", Box::new(deterministic(true, true))),
-        ("deterministic+unbatched", Box::new(deterministic(false, true))),
-        ("deterministic+unshared", Box::new(deterministic(true, false))),
-    ]
+    vec![("serial", Box::new(serial)), ("deterministic", Box::new(deterministic))]
 }
 
 /// Runs `trials` seeded runs of every estimator path on every fixture
@@ -159,31 +139,16 @@ fn robp_fixtures() -> Vec<RobpFixture> {
 /// An nROBP estimator path under test, mirroring [`Estimator`].
 type RobpEstimator = dyn Fn(&Robp, &Params, u64) -> f64;
 
-/// The substrate-generic paths over the nROBP front-end: both policies,
-/// batched and unbatched union estimation. (The share knob is already
-/// locked down substrate-independently by the NFA grid above.)
+/// The substrate-generic paths over the nROBP front-end: both policies.
 fn robp_estimator_paths() -> Vec<(&'static str, Box<RobpEstimator>)> {
-    let serial = |batch: bool| {
-        move |robp: &Robp, params: &Params, seed: u64| {
-            let mut p = params.clone();
-            p.batch_unions = batch;
-            let mut rng = SmallRng::seed_from_u64(seed);
-            FprasRun::run_robp(robp, &p, &mut rng).expect("run").estimate().to_f64()
-        }
+    let serial = |robp: &Robp, params: &Params, seed: u64| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        FprasRun::run_robp(robp, params, &mut rng).expect("run").estimate().to_f64()
     };
-    let deterministic = |batch: bool| {
-        move |robp: &Robp, params: &Params, seed: u64| {
-            let mut p = params.clone();
-            p.batch_unions = batch;
-            run_robp_parallel(robp, &p, seed, 4).expect("run").estimate().to_f64()
-        }
+    let deterministic = |robp: &Robp, params: &Params, seed: u64| {
+        run_robp_parallel(robp, params, seed, 4).expect("run").estimate().to_f64()
     };
-    vec![
-        ("robp-serial+batched", Box::new(serial(true))),
-        ("robp-serial+unbatched", Box::new(serial(false))),
-        ("robp-deterministic+batched", Box::new(deterministic(true))),
-        ("robp-deterministic+unbatched", Box::new(deterministic(false))),
-    ]
+    vec![("robp-serial", Box::new(serial)), ("robp-deterministic", Box::new(deterministic))]
 }
 
 /// [`run_harness`] over the nROBP substrate: same Chernoff envelope,
