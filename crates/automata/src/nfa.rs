@@ -214,7 +214,12 @@ impl NfaBuilder {
     }
 
     /// Adds `n` states, returning the first new id.
+    ///
+    /// # Panics
+    /// Panics if the total state count would not fit in [`StateId`].
     pub fn add_states(&mut self, n: usize) -> StateId {
+        let total = self.num_states.saturating_add(n);
+        assert!(total <= StateId::MAX as usize + 1, "{total} states exceed the StateId range");
         let first = self.num_states as StateId;
         self.num_states += n;
         first

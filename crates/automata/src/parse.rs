@@ -18,11 +18,23 @@
 //!
 //! `alphabet` lists single-character symbol names in id order; `trans`
 //! lines are `FROM SYMBOL_CHAR TO`. Blank lines and `#` comments are
-//! ignored. [`to_text`] and [`from_text`] round-trip.
+//! ignored. [`to_text`] and [`from_text`] round-trip. A `states` count
+//! above [`MAX_STATES`] is a parse error.
 
 use crate::alphabet::Alphabet;
 use crate::nfa::{Nfa, NfaBuilder};
+use crate::regex::MAX_EXPANDED_SIZE;
 use std::fmt;
+
+/// Largest `states` count [`from_text`] accepts. The builder allocates
+/// per-state storage up front, so an unchecked count from an untrusted
+/// file could exhaust memory before a single transition is read. The
+/// Thompson construction allocates at most two states per expanded
+/// syntax node, so every regex within [`MAX_EXPANDED_SIZE`] compiles to
+/// an automaton well inside this cap.
+pub const MAX_STATES: usize = 1 << 16;
+
+const _: () = assert!(2 * MAX_EXPANDED_SIZE <= MAX_STATES);
 
 /// Parse errors with line numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,6 +101,12 @@ pub fn from_text(text: &str) -> Result<Nfa, ParseNfaError> {
                     .get(1)
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| err(lineno, "states needs a count".into()))?;
+                if count > MAX_STATES {
+                    return Err(err(
+                        lineno,
+                        format!("too many states: {count} (at most {MAX_STATES})"),
+                    ));
+                }
                 let mut b = NfaBuilder::new(a);
                 b.add_states(count);
                 *builder = Some(b);
@@ -234,6 +252,18 @@ trans 2 1 2
         let e = from_text(&format!("alphabet {names}\nstates 1\n")).unwrap_err();
         assert_eq!(e.line, 1);
         assert!(e.message.contains("alphabet too large: 300 symbols"), "{e}");
+    }
+
+    #[test]
+    fn huge_state_counts_are_errors_not_allocations() {
+        let e = from_text("alphabet 01\nstates 5000000000\ninitial 0\naccepting 0\ntrans 0 0 0\n")
+            .unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("too many states: 5000000000"), "{e}");
+        let at_cap = format!("alphabet 01\nstates {MAX_STATES}\ninitial 0\naccepting 0\n");
+        assert_eq!(from_text(&at_cap).unwrap().num_states(), MAX_STATES);
+        let over = format!("alphabet 01\nstates {}\n", MAX_STATES + 1);
+        assert_eq!(from_text(&over).unwrap_err().line, 2);
     }
 
     #[test]

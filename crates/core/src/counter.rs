@@ -14,7 +14,7 @@
 //! * `n = 0` is answered directly (`λ ∈ L(A)` iff the initial state
 //!   accepts).
 
-use crate::engine::{run_robp_with_policy, run_with_policy, RunInner, Serial};
+use crate::engine::{run_robp_with_policy, run_with_policy, Checkpoint, Serial};
 use crate::error::FprasError;
 use crate::params::Params;
 use crate::run_stats::RunStats;
@@ -25,9 +25,10 @@ use rand::Rng;
 
 /// A completed FPRAS run: the estimate plus the full `(N, S)` table.
 pub struct FprasRun {
-    /// The normalized automaton the DP ran on (trimmed, single accepting
-    /// state). `None` for degenerate runs (empty language or `n = 0`).
-    pub(crate) inner: Option<RunInner>,
+    /// The finished checkpoint (for the NFA front-end: over the trimmed,
+    /// single-accepting automaton). `None` for degenerate runs (empty
+    /// language or `n = 0`).
+    pub(crate) inner: Option<Checkpoint>,
     pub(crate) n: usize,
     pub(crate) estimate: ExtFloat,
     pub(crate) params: Params,

@@ -60,6 +60,7 @@
 //! work, never output (`tests::shared_tier_equals_lazy_recomputation`).
 
 pub mod batch;
+mod checkpoint;
 pub mod memo;
 pub mod policy;
 pub mod pool;
@@ -84,29 +85,11 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 pub use batch::{FrontierGroup, LevelPlan};
+pub(crate) use checkpoint::Checkpoint;
 pub use memo::{MemoEntry, MemoTier, UnionMemo};
 pub use policy::{Deterministic, ExecutionPolicy, Serial};
 pub use pool::Pool;
 pub use substrate::{LeveledSubstrate, NfaSubstrate, RobpSubstrate};
-
-/// The state a finished run keeps: the substrate the DP ran over (for
-/// the NFA front-end: the trimmed single-accepting automaton with its
-/// unrolling and stepping arenas), the filled `(N, S)` table, and the
-/// union memo the generator keeps extending.
-pub(crate) struct RunInner {
-    pub(crate) substrate: Box<dyn LeveledSubstrate>,
-    pub(crate) table: RunTable,
-    pub(crate) memo: UnionMemo,
-    /// The run's frontier interner: post-run sampler walks keep
-    /// interning against it, so memo keys stay consistent with the ids
-    /// minted during the run.
-    pub(crate) interner: FrontierInterner,
-    /// Seed of the run's frontier-keyed sampler union streams (D9); the
-    /// generator keeps using it so post-run memo misses stay congruent
-    /// with in-run estimates.
-    pub(crate) sampler_seed: u64,
-    pub(crate) q_final: StateId,
-}
 
 /// Immutable per-run context handed to policies and cell computations.
 pub struct EngineCtx<'a> {
@@ -402,15 +385,14 @@ fn check_budget(params: &Params, stats: &RunStats) -> Result<(), FprasError> {
 /// groups and cells, the sharing pre-pass, the memo commit, and the
 /// sample pass over the live cells.
 ///
-/// This is the loop body of [`run_with_policy`], extracted so a
-/// checkpointed run ([`crate::service::QuerySession`]) can resume at
-/// level `built + 1` and execute *exactly* the code a fresh run would —
-/// the whole bit-identity argument of DESIGN.md D11 rests on the two
-/// paths sharing this one function. Everything it reads is a function
-/// of `(params, level, table, memo)` — never of the run's current
-/// horizon — provided `params.trim_dead` is off (the alive-set filter
-/// is the one horizon-dependent input; sessions reject it).
-pub(crate) fn run_level<P: ExecutionPolicy>(
+/// This is the loop body of [`Checkpoint::extend`], which every fresh
+/// run and every session extension goes through — the whole
+/// bit-identity argument of DESIGN.md D11 rests on that one loop.
+/// Everything it reads is a function of `(params, level, table, memo)`
+/// — never of the run's current horizon — provided `params.trim_dead`
+/// is off (the alive-set filter is the one horizon-dependent input;
+/// sessions reject it).
+fn run_level<P: ExecutionPolicy>(
     ctx: &EngineCtx<'_>,
     table: &mut RunTable,
     memo: &mut UnionMemo,
@@ -589,13 +571,9 @@ pub(crate) fn normalize_for_run(nfa: &Nfa) -> Option<(Nfa, StateId)> {
 }
 
 /// Writes level 0 of the DP (Algorithm 3 lines 6–10):
-/// `N(I⁰) = 1, S(I⁰) = (λ, λ, …)`. Shared by fresh runs and sessions,
-/// for every substrate (the source cell is always the sole level-0 seed).
-pub(crate) fn seed_level_zero(
-    table: &mut RunTable,
-    substrate: &dyn LeveledSubstrate,
-    params: &Params,
-) {
+/// `N(I⁰) = 1, S(I⁰) = (λ, λ, …)`, for every substrate (the source cell
+/// is always the sole level-0 seed).
+fn seed_level_zero(table: &mut RunTable, substrate: &dyn LeveledSubstrate, params: &Params) {
     let m = substrate.universe();
     let init = substrate.initial();
     let cell = table.cell_mut(0, init);
@@ -617,131 +595,19 @@ pub fn run_with_policy<P: ExecutionPolicy>(
     params: &Params,
     policy: &mut P,
 ) -> Result<FprasRun, FprasError> {
-    params.validate()?;
-    // The error-budget splits (sampler δ, noise probability) are pinned
-    // to the length the params were derived for (`Params::n_hint`,
-    // D11). Running *longer* than that would silently loosen the
-    // promised (ε, δ); refuse loudly instead. Shorter runs only
-    // tighten the split and stay allowed.
-    if n > params.n_hint {
-        return Err(FprasError::InvalidParams(format!(
-            "run length {n} exceeds the length these params were derived for \
-             (n_hint = {}); rebuild Params for the target length",
-            params.n_hint
-        )));
-    }
     let start = Instant::now();
-    let degenerate = |estimate: ExtFloat, accepts_lambda: bool| {
-        let wall = start.elapsed();
-        FprasRun {
-            inner: None,
-            n,
-            estimate,
-            params: params.clone(),
-            stats: RunStats { wall, wall_max: wall, ..RunStats::default() },
-            accepts_lambda,
-        }
-    };
-
-    // n = 0: the DP is about positive-length words; answer directly.
-    if n == 0 {
-        let accepts = nfa.is_accepting(nfa.initial());
-        let est = if accepts { ExtFloat::ONE } else { ExtFloat::ZERO };
-        return Ok(degenerate(est, accepts));
-    }
-
-    // Normalize: trim, then fold accepting states (DESIGN.md D7).
-    let Some((normalized, q_final)) = normalize_for_run(nfa) else {
-        return Ok(degenerate(ExtFloat::ZERO, false));
-    };
-    let substrate = NfaSubstrate::new(normalized, q_final, n);
-    if !substrate.language_nonempty() {
-        return Ok(degenerate(ExtFloat::ZERO, false));
-    }
-    run_on_substrate(Box::new(substrate), n, params, policy, nfa.is_accepting(nfa.initial()), start)
-}
-
-/// The substrate-generic run core: the level loop over an already-built
-/// [`LeveledSubstrate`] whose views cover `0..=n` and whose language is
-/// known non-empty at `n`. Front-end entry points ([`run_with_policy`]
-/// for NFAs, [`run_robp_with_policy`] for nROBPs) handle normalization
-/// and the degenerate cases, then delegate here.
-fn run_on_substrate<P: ExecutionPolicy>(
-    substrate: Box<dyn LeveledSubstrate>,
-    n: usize,
-    params: &Params,
-    policy: &mut P,
-    accepts_lambda: bool,
-    start: Instant,
-) -> Result<FprasRun, FprasError> {
-    let m = substrate.universe();
-    let q_final = substrate.final_cell();
-    // One interner per run: every memo/sharing key below is minted here.
-    let interner = FrontierInterner::new(m);
-    // One seed per run for the frontier-keyed sampler union streams
-    // (D9): Serial draws it from the caller RNG, Deterministic derives
-    // it from the master seed.
-    let sampler_seed = policy.sampler_union_seed();
-    // Deliberately no run-horizon field: per-level work must be a
-    // function of `(Params, level, table, memo)` alone, or resumed
-    // sessions could not be bit-identical to fresh runs (D11).
-    let ctx = EngineCtx {
-        params,
-        substrate: &*substrate,
-        interner: &interner,
-        m,
-        k: substrate.width() as u8,
-        sampler_seed,
-    };
-
-    let mut table = RunTable::new(m, n);
-    let mut memo = UnionMemo::new();
-    let mut stats = RunStats::default();
-
-    crate::obs::emit_with(|| crate::obs::TraceEvent::RunStart {
-        substrate: ctx.substrate.kind(),
-        policy: policy.name(),
-        n,
-        from_level: 1,
-    });
-
-    seed_level_zero(&mut table, &*substrate, params);
-
-    for ell in 1..=n {
-        run_level(&ctx, &mut table, &mut memo, &mut stats, ell, policy)?;
-    }
-
-    let estimate = table.cell(n, q_final as usize).n_est;
-    // Executor evidence (D10): drained once per run. Scheduling-only —
-    // everything above is bit-identical for any thread count; these
-    // counters record how the work actually spread over the workers.
-    stats.pool = policy.take_pool_stats();
-    // Interner evidence (§2.5): snapshot of the run's key traffic.
-    stats.intern = interner.stats();
-    stats.wall = start.elapsed();
-    stats.wall_max = stats.wall;
-    if crate::obs::trace_enabled() {
-        if stats.pool.parallel_passes + stats.pool.sequential_passes > 0 {
-            crate::obs::emit_with(|| crate::obs::TraceEvent::PoolSummary {
-                parallel_passes: stats.pool.parallel_passes,
-                sequential_passes: stats.pool.sequential_passes,
-                items: stats.pool.parallel_items + stats.pool.sequential_items,
-                steals: stats.pool.steals,
-            });
-        }
-        crate::obs::emit_with(|| crate::obs::TraceEvent::RunEnd {
-            ops: stats.membership_ops,
-            wall_us: stats.wall.as_micros() as u64,
-        });
-    }
-    Ok(FprasRun {
-        inner: Some(RunInner { substrate, table, memo, interner, sampler_seed, q_final }),
-        n,
-        estimate,
-        params: params.clone(),
-        stats,
-        accepts_lambda,
-    })
+    params.validate()?;
+    params.check_length(n)?;
+    // n = 0 is answered directly (the DP is about positive-length
+    // words); otherwise normalize: trim, then fold accepting states
+    // (DESIGN.md D7). The views are built at horizon n up front, so the
+    // `trim_dead` alive sets are final before the first level.
+    let substrate = (n > 0)
+        .then(|| normalize_for_run(nfa))
+        .flatten()
+        .map(|(normalized, q_final)| NfaSubstrate::new(normalized, q_final, n))
+        .filter(NfaSubstrate::language_nonempty);
+    run_fresh(substrate, n, params, policy, nfa.is_accepting(nfa.initial()), start)
 }
 
 /// Runs the FPRAS over an nROBP under `policy`, estimating the number
@@ -754,29 +620,42 @@ pub fn run_robp_with_policy<P: ExecutionPolicy>(
     params: &Params,
     policy: &mut P,
 ) -> Result<FprasRun, FprasError> {
-    params.validate()?;
-    let n = robp.depth();
-    if n > params.n_hint {
-        return Err(FprasError::InvalidParams(format!(
-            "program depth {n} exceeds the length these params were derived for \
-             (n_hint = {}); rebuild Params for the target depth",
-            params.n_hint
-        )));
-    }
     let start = Instant::now();
-    let substrate = RobpSubstrate::new(robp);
-    if !substrate.language_nonempty() {
-        let wall = start.elapsed();
-        return Ok(FprasRun {
-            inner: None,
-            n,
-            estimate: ExtFloat::ZERO,
-            params: params.clone(),
-            stats: RunStats { wall, wall_max: wall, ..RunStats::default() },
-            accepts_lambda: false,
-        });
-    }
-    run_on_substrate(Box::new(substrate), n, params, policy, false, start)
+    params.validate()?;
+    params.check_length(robp.depth())?;
+    let substrate = Some(RobpSubstrate::new(robp)).filter(RobpSubstrate::language_nonempty);
+    run_fresh(substrate, robp.depth(), params, policy, false, start)
+}
+
+/// The substrate-generic fresh run: [`Checkpoint::open`] plus
+/// [`Checkpoint::extend`] to `n`. `None` is a degenerate run (`n = 0`,
+/// or an empty slice), answered without touching the policy — so the
+/// Serial caller RNG is left exactly where it was.
+fn run_fresh<S: LeveledSubstrate + 'static, P: ExecutionPolicy>(
+    substrate: Option<S>,
+    n: usize,
+    params: &Params,
+    policy: &mut P,
+    accepts_lambda: bool,
+    start: Instant,
+) -> Result<FprasRun, FprasError> {
+    let mut stats = RunStats::default();
+    let (inner, estimate, accepts_lambda) = match substrate {
+        Some(substrate) => {
+            let mut run = Checkpoint::open(Box::new(substrate), params, policy);
+            run.extend(n, params, policy, &mut stats)?;
+            let estimate = run.estimate(n);
+            (Some(run), estimate, accepts_lambda)
+        }
+        None => {
+            let lambda = n == 0 && accepts_lambda;
+            (None, if lambda { ExtFloat::ONE } else { ExtFloat::ZERO }, lambda)
+        }
+    };
+    // The run's wall includes the front-end (normalization, unrolling).
+    stats.wall = start.elapsed();
+    stats.wall_max = stats.wall;
+    Ok(FprasRun { inner, n, estimate, params: params.clone(), stats, accepts_lambda })
 }
 
 /// [`run_robp_with_policy`] with the [`Deterministic`] policy — the

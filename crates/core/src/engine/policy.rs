@@ -82,7 +82,7 @@ pub trait ExecutionPolicy {
     fn name(&self) -> &'static str;
 
     /// The per-run seed of the sampler's frontier-keyed union streams
-    /// (DESIGN.md D9). Called once by the engine before the level loop;
+    /// (DESIGN.md D9). Called once per run, by `Checkpoint::open`;
     /// `Serial` draws it from its caller RNG, `Deterministic` derives it
     /// from the master seed so it stays independent of thread count.
     fn sampler_union_seed(&mut self) -> u64;
@@ -130,7 +130,8 @@ pub trait ExecutionPolicy {
     ) -> Vec<ShareOut>;
 
     /// Drains the policy's executor statistics (D10). The engine calls
-    /// this once per run and stores the result in `RunStats::pool`;
+    /// this once per extension and merges the result into
+    /// `RunStats::pool`;
     /// policies without an executor report nothing.
     fn take_pool_stats(&mut self) -> PoolStats {
         PoolStats::default()

@@ -9,8 +9,6 @@
 //! counterpart of the paper's regular-path-query *sampling* application.
 
 use crate::counter::FprasRun;
-use crate::sampler::{SamplerEnv, SamplerScratch};
-use crate::table::SampleOutcome;
 use fpras_automata::Word;
 use rand::Rng;
 
@@ -23,20 +21,19 @@ pub const DEFAULT_RETRY_LIMIT: usize = 400;
 /// An almost-uniform generator over `L(A_n)`.
 ///
 /// Wraps a completed [`FprasRun`]; each [`UniformGenerator::generate`]
-/// call replays Algorithm 2 from the accepting state. The generator
-/// mutates its internal union memo (when memoization is enabled), hence
-/// `&mut self`.
+/// call replays Algorithm 2 from the accepting state — the run's
+/// checkpoint draw, the same loop a session's `sample` uses. The
+/// generator mutates the run's union memo (when memoization is
+/// enabled), hence `&mut self`.
 pub struct UniformGenerator {
     run: FprasRun,
     retry_limit: usize,
-    /// Reusable sampler buffers: allocated once, rebuilt per draw.
-    scratch: SamplerScratch,
 }
 
 impl UniformGenerator {
     /// Builds a generator from a finished run.
     pub fn new(run: FprasRun) -> Self {
-        UniformGenerator { run, retry_limit: DEFAULT_RETRY_LIMIT, scratch: SamplerScratch::new() }
+        UniformGenerator { run, retry_limit: DEFAULT_RETRY_LIMIT }
     }
 
     /// Overrides the per-draw retry limit.
@@ -61,35 +58,12 @@ impl UniformGenerator {
     /// failed (probability `≤ (1 − 2/(3e²))^limit` under accurate
     /// estimates).
     pub fn generate<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Word> {
-        // Degenerate runs: empty language or the n = 0 special case.
-        let Some(inner) = self.run.inner.as_mut() else {
-            return if self.run.accepts_lambda { Some(Word::empty()) } else { None };
-        };
-        let n = self.run.n;
-        let q_final = inner.q_final;
-        let env = SamplerEnv {
-            params: &self.run.params,
-            substrate: &*inner.substrate,
-            interner: &inner.interner,
-            sampler_seed: inner.sampler_seed,
-        };
-        for _ in 0..self.retry_limit {
-            match crate::sampler::sample_word(
-                &env,
-                &inner.table,
-                &mut inner.memo,
-                q_final,
-                n,
-                rng,
-                &mut self.scratch,
-                &mut self.run.stats,
-            ) {
-                SampleOutcome::Word(w) => return Some(w),
-                SampleOutcome::DeadEnd => return None,
-                SampleOutcome::FailPhi | SampleOutcome::FailCoin => {}
-            }
+        let FprasRun { inner, n, params, stats, accepts_lambda, .. } = &mut self.run;
+        match inner {
+            Some(run) => run.draw(params, *n, rng, self.retry_limit, stats),
+            // Degenerate runs: empty language or the n = 0 special case.
+            None => accepts_lambda.then(Word::empty),
         }
-        None
     }
 
     /// Draws up to `count` words (fewer only on repeated failure).

@@ -108,14 +108,19 @@ pub const LATENCY_BUCKETS: usize = 32;
 /// inclusive upper edge, so any quantile is within one bucket (a
 /// factor of 2) of the exact order statistic — the bench harness
 /// asserts that bound against its old exact-sort implementation.
+///
+/// Beside the buckets it keeps the running sum of all observations at
+/// nanosecond grain, so sub-µs queries still add to it; the Prometheus
+/// `_sum` line renders it in µs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: [u64; LATENCY_BUCKETS],
+    sum_ns: u64,
 }
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
-        LatencyHistogram { buckets: [0; LATENCY_BUCKETS] }
+        LatencyHistogram { buckets: [0; LATENCY_BUCKETS], sum_ns: 0 }
     }
 }
 
@@ -145,13 +150,20 @@ impl LatencyHistogram {
     /// Records one observation of `micros` microseconds.
     #[inline]
     pub fn record(&mut self, micros: u64) {
-        self.buckets[Self::bucket(micros)] += 1;
+        self.record_ns(micros, micros.saturating_mul(1000));
     }
 
     /// Records one observation from a [`Duration`].
     #[inline]
     pub fn record_duration(&mut self, d: Duration) {
-        self.record(d.as_micros().min(u64::MAX as u128) as u64);
+        let clamp = |v: u128| v.min(u64::MAX as u128) as u64;
+        self.record_ns(clamp(d.as_micros()), clamp(d.as_nanos()));
+    }
+
+    #[inline]
+    fn record_ns(&mut self, micros: u64, nanos: u64) {
+        self.buckets[Self::bucket(micros)] += 1;
+        self.sum_ns = self.sum_ns.saturating_add(nanos);
     }
 
     /// Element-wise sum — associative and commutative, so histograms
@@ -160,6 +172,13 @@ impl LatencyHistogram {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a = a.saturating_add(*b);
         }
+        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
+    }
+
+    /// Sum of all recorded observations, in microseconds (kept at
+    /// nanosecond grain, so it is exact for sub-µs observations too).
+    pub fn sum_us(&self) -> f64 {
+        self.sum_ns as f64 / 1000.0
     }
 
     /// Total number of recorded observations.
@@ -464,7 +483,7 @@ pub fn emit_with<F: FnOnce() -> TraceEvent>(f: F) {
 
 /// Builder for Prometheus text-format exposition — the serve `metrics`
 /// command's output. Deliberately tiny: `# TYPE` lines, counters,
-/// gauges, and cumulative `_bucket`/`_count` lines rendered from a
+/// gauges, and cumulative `_bucket`/`_sum`/`_count` lines rendered from a
 /// [`LatencyHistogram`]; no labels beyond `le`.
 #[derive(Debug, Default)]
 pub struct PromText {
@@ -494,7 +513,8 @@ impl PromText {
     }
 
     /// Appends a histogram metric: cumulative `le` buckets (microsecond
-    /// upper edges, then `+Inf`) and a `_count` line.
+    /// upper edges, then `+Inf`), a `_sum` line in µs and a `_count`
+    /// line.
     pub fn histogram(&mut self, name: &str, help: &str, hist: &LatencyHistogram) -> &mut Self {
         let _ = writeln!(self.out, "# HELP {name} {help}");
         let _ = writeln!(self.out, "# TYPE {name} histogram");
@@ -509,6 +529,7 @@ impl PromText {
             }
         }
         let _ = writeln!(self.out, "{name}_bucket{{le=\"+Inf\"}} {}", hist.count());
+        let _ = writeln!(self.out, "{name}_sum {}", hist.sum_us());
         let _ = writeln!(self.out, "{name}_count {}", hist.count());
         self
     }
@@ -596,6 +617,7 @@ mod tests {
         b.record(100);
         a.merge(&b);
         assert_eq!(a.count(), 3);
+        assert_eq!(a.sum_us(), 106.0);
         assert_eq!(a.quantile(0.5), Some(3));
     }
 
@@ -667,6 +689,14 @@ mod tests {
         assert!(text.contains("fpras_query_latency_us_bucket{le=\"3\"} 1"));
         assert!(text.contains("fpras_query_latency_us_bucket{le=\"511\"} 2"));
         assert!(text.contains("fpras_query_latency_us_bucket{le=\"+Inf\"} 2"));
+        assert!(text.contains("fpras_query_latency_us_sum 303\n"), "{text}");
         assert!(text.contains("fpras_query_latency_us_count 2"));
+        // Sub-µs observations share bucket 0 but still add to the sum.
+        let mut fast = LatencyHistogram::default();
+        fast.record_duration(Duration::from_nanos(250));
+        fast.record_duration(Duration::from_nanos(500));
+        let mut p = PromText::new();
+        p.histogram("fpras_fast_us", "Sub-µs latency.", &fast);
+        assert!(p.render().contains("fpras_fast_us_sum 0.75\n"));
     }
 }

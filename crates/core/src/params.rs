@@ -251,6 +251,22 @@ impl Params {
         Ok(())
     }
 
+    /// Refuses lengths beyond the one these params were derived for. The
+    /// error-budget splits (sampler δ, noise probability) are pinned to
+    /// [`Params::n_hint`] (D11), so running or serving *longer* would
+    /// silently loosen the promised `(ε, δ)`; shorter lengths only
+    /// tighten the split and stay allowed.
+    pub(crate) fn check_length(&self, n: usize) -> Result<(), FprasError> {
+        if n > self.n_hint {
+            return Err(FprasError::InvalidParams(format!(
+                "length {n} exceeds the length these params were derived for (n_hint = {}); \
+                 rebuild Params for the target length",
+                self.n_hint
+            )));
+        }
+        Ok(())
+    }
+
     /// Marks the profile custom; call after tweaking any field by hand so
     /// experiment output stays honest.
     pub fn into_custom(mut self) -> Self {

@@ -8,9 +8,10 @@
 //! practical FPRAS for #NFA" builds its reuse on). This module turns
 //! that into a serving architecture:
 //!
-//! * [`QuerySession`] — compiles an automaton once and owns a
-//!   **checkpointable** engine run: the level loop can pause after
-//!   level `k` and resume to `k' > k`, carrying the copy-on-write
+//! * [`QuerySession`] — compiles an automaton once and owns the
+//!   engine's **checkpointed** run (the same `engine::Checkpoint` a
+//!   fresh run goes through): the level loop can pause after level `k`
+//!   and resume to `k' > k`, carrying the copy-on-write
 //!   [`UnionMemo`](crate::engine::UnionMemo), the sketch table, and the
 //!   per-run sampler seed. `estimate(n)` / `estimate_range(a..=b)` /
 //!   `sample(n)` answer from finished levels when they can and extend

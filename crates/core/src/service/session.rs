@@ -1,20 +1,17 @@
 //! A checkpointable engine run serving `(A, n)` queries incrementally.
 
 use crate::engine::{
-    normalize_for_run, run_level, seed_level_zero, Deterministic, EngineCtx, ExecutionPolicy,
-    LeveledSubstrate, NfaSubstrate, Pool, RobpSubstrate, Serial, UnionMemo,
+    normalize_for_run, Checkpoint, Deterministic, LeveledSubstrate, NfaSubstrate, Pool,
+    RobpSubstrate, Serial,
 };
 use crate::error::FprasError;
 use crate::generator::DEFAULT_RETRY_LIMIT;
-use crate::intern::FrontierInterner;
 use crate::obs::LatencyHistogram;
 use crate::params::Params;
 use crate::run_stats::RunStats;
-use crate::sampler::{sample_word, SamplerEnv, SamplerScratch};
 use crate::service::SessionPolicy;
-use crate::table::{RunTable, SampleOutcome};
 use fpras_automata::robp::Robp;
-use fpras_automata::{Nfa, StateId, Word};
+use fpras_automata::{Nfa, Word};
 use fpras_numeric::ExtFloat;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::sync::Arc;
@@ -61,26 +58,6 @@ impl SessionStats {
         }
         self.levels_reused as f64 / total as f64
     }
-}
-
-/// The live state of a non-degenerate session: the leveled substrate
-/// (D14) and the checkpointed engine run (everything `engine::run_level`
-/// needs to continue where the last query stopped).
-struct SessionInner {
-    substrate: Box<dyn LeveledSubstrate>,
-    /// The session-lifetime frontier interner: ids stay stable across
-    /// extensions, so memo keys minted at level `k` keep working when a
-    /// later query extends the run (the bit-identity invariant only
-    /// needs the *tags*, which are content-keyed either way).
-    interner: FrontierInterner,
-    table: RunTable,
-    memo: UnionMemo,
-    sampler_seed: u64,
-    q_final: StateId,
-    /// Reusable sampler buffers for `sample` queries.
-    scratch: SamplerScratch,
-    /// Levels `1..=built` are finished (level 0 is seeded at creation).
-    built: usize,
 }
 
 /// The session-owned execution policy state (see [`SessionPolicy`]).
@@ -147,9 +124,12 @@ pub struct QuerySession {
     /// `λ ∈ L(A)` of the *original* automaton (length-0 queries are
     /// answered directly, like the engine's `n = 0` path).
     accepts_lambda: bool,
-    /// `None` when trimming removed every state: all positive-length
+    /// The checkpointed engine run (everything `Checkpoint::extend`
+    /// needs to continue where the last query stopped). `None` when
+    /// the front-end found the language empty (trimming removed every
+    /// state, or the program accepts nothing): all positive-length
     /// slices are empty and every estimate is zero.
-    inner: Option<SessionInner>,
+    inner: Option<Checkpoint>,
     stats: SessionStats,
     run_stats: RunStats,
     /// Counters of the work done *serving* `sample` queries, kept apart
@@ -171,68 +151,9 @@ impl QuerySession {
     /// processes must not depend on how far the run has been extended,
     /// or resumed sessions could not be bit-identical to fresh runs.
     pub fn new(nfa: &Nfa, params: Params, policy: SessionPolicy) -> Result<Self, FprasError> {
-        params.validate()?;
-        if params.trim_dead {
-            return Err(FprasError::InvalidParams(
-                "trim_dead prunes cells by distance-to-accepting at a fixed horizon, which an \
-                 incrementally extended session does not have; build session params with \
-                 Params::for_session (or set trim_dead = false)"
-                    .into(),
-            ));
-        }
-        let policy = policy.normalized();
-        let mut policy_state = match &policy {
-            SessionPolicy::Serial { seed } => {
-                PolicyState::Serial { rng: SmallRng::seed_from_u64(*seed) }
-            }
-            SessionPolicy::Deterministic { seed, threads } => {
-                PolicyState::Deterministic { seed: *seed, threads: *threads, shared_pool: None }
-            }
-        };
-        let accepts_lambda = nfa.is_accepting(nfa.initial());
-        let inner = normalize_for_run(nfa).map(|(normalized, q_final)| {
-            // Drawn exactly where a fresh run draws it (once, before the
-            // level loop), so the Serial stream stays aligned. The
-            // Deterministic seed derivation is a pure function of the
-            // master seed, so a throwaway single-threaded policy (which
-            // spawns no workers) answers it.
-            let sampler_seed = match &mut policy_state {
-                PolicyState::Serial { rng } => {
-                    let mut policy = Serial::new(rng);
-                    policy.sampler_union_seed()
-                }
-                PolicyState::Deterministic { seed, .. } => {
-                    Deterministic::new(*seed, 1).sampler_union_seed()
-                }
-            };
-            let substrate = NfaSubstrate::new(normalized, q_final, 0);
-            let m = substrate.universe();
-            let interner = FrontierInterner::new(m);
-            let mut table = RunTable::new(m, 0);
-            seed_level_zero(&mut table, &substrate, &params);
-            SessionInner {
-                substrate: Box::new(substrate),
-                interner,
-                table,
-                memo: UnionMemo::new(),
-                sampler_seed,
-                q_final,
-                scratch: SamplerScratch::new(),
-                built: 0,
-            }
-        });
-        Ok(QuerySession {
-            params,
-            policy_spec: policy,
-            policy: policy_state,
-            accepts_lambda,
-            inner,
-            stats: SessionStats::default(),
-            run_stats: RunStats::default(),
-            query_stats: RunStats::default(),
-            poisoned: false,
-            retry_limit: DEFAULT_RETRY_LIMIT,
-        })
+        let substrate = normalize_for_run(nfa)
+            .map(|(normalized, q_final)| NfaSubstrate::new(normalized, q_final, 0));
+        Self::open(substrate, nfa.is_accepting(nfa.initial()), params, policy)
     }
 
     /// Compiles an nROBP into a fresh session: the identical
@@ -252,6 +173,26 @@ impl QuerySession {
         params: Params,
         policy: SessionPolicy,
     ) -> Result<Self, FprasError> {
+        if params.n_hint > robp.depth() {
+            return Err(FprasError::InvalidParams(format!(
+                "session derivation length (n_hint = {}) exceeds the program depth {}: an nROBP \
+                 reads each variable once, so no longer query could ever be served",
+                params.n_hint,
+                robp.depth()
+            )));
+        }
+        let substrate = Some(RobpSubstrate::new(robp)).filter(RobpSubstrate::language_nonempty);
+        Self::open(substrate, false, params, policy)
+    }
+
+    /// The constructor behind both front-ends: validates `params`, then
+    /// opens the checkpoint over `substrate` (`None` = degenerate).
+    fn open<S: LeveledSubstrate + 'static>(
+        substrate: Option<S>,
+        accepts_lambda: bool,
+        params: Params,
+        policy: SessionPolicy,
+    ) -> Result<Self, FprasError> {
         params.validate()?;
         if params.trim_dead {
             return Err(FprasError::InvalidParams(
@@ -260,14 +201,6 @@ impl QuerySession {
                  Params::for_session (or set trim_dead = false)"
                     .into(),
             ));
-        }
-        if params.n_hint > robp.depth() {
-            return Err(FprasError::InvalidParams(format!(
-                "session derivation length (n_hint = {}) exceeds the program depth {}: an nROBP \
-                 reads each variable once, so no longer query could ever be served",
-                params.n_hint,
-                robp.depth()
-            )));
         }
         let policy = policy.normalized();
         let mut policy_state = match &policy {
@@ -278,41 +211,27 @@ impl QuerySession {
                 PolicyState::Deterministic { seed: *seed, threads: *threads, shared_pool: None }
             }
         };
-        let substrate = RobpSubstrate::new(robp);
-        let inner = substrate.language_nonempty().then(|| {
-            // Drawn exactly where a fresh robp run draws it (see
-            // `QuerySession::new` — the alignment argument is
-            // substrate-independent).
-            let sampler_seed = match &mut policy_state {
+        // The sampler seed is drawn exactly where a fresh run draws it
+        // (once, before the level loop), so the Serial stream stays
+        // aligned. The Deterministic seed derivation is a pure function
+        // of the master seed, so a single-threaded policy (which spawns
+        // no workers) answers it.
+        let inner = substrate.map(|substrate| {
+            let substrate = Box::new(substrate);
+            match &mut policy_state {
                 PolicyState::Serial { rng } => {
-                    let mut policy = Serial::new(rng);
-                    policy.sampler_union_seed()
+                    Checkpoint::open(substrate, &params, &mut Serial::new(rng))
                 }
                 PolicyState::Deterministic { seed, .. } => {
-                    Deterministic::new(*seed, 1).sampler_union_seed()
+                    Checkpoint::open(substrate, &params, &mut Deterministic::new(*seed, 1))
                 }
-            };
-            let m = substrate.universe();
-            let q_final = substrate.final_cell();
-            let interner = FrontierInterner::new(m);
-            let mut table = RunTable::new(m, 0);
-            seed_level_zero(&mut table, &substrate, &params);
-            SessionInner {
-                substrate: Box::new(substrate),
-                interner,
-                table,
-                memo: UnionMemo::new(),
-                sampler_seed,
-                q_final,
-                scratch: SamplerScratch::new(),
-                built: 0,
             }
         });
         Ok(QuerySession {
             params,
             policy_spec: policy,
             policy: policy_state,
-            accepts_lambda: false,
+            accepts_lambda,
             inner,
             stats: SessionStats::default(),
             run_stats: RunStats::default(),
@@ -368,26 +287,9 @@ impl QuerySession {
         Ok(())
     }
 
-    /// Refuses queries beyond the length the session's parameters were
-    /// derived for: the error-budget splits are pinned to
-    /// `Params::n_hint`, so serving longer would silently loosen the
-    /// promised `(ε, δ)` — the same guard the engine applies to fresh
-    /// runs. Build session params for the largest length you serve
-    /// ([`Params::for_session`]'s `n`).
-    fn check_horizon(&self, n: usize) -> Result<(), FprasError> {
-        if n > self.params.n_hint {
-            return Err(FprasError::InvalidParams(format!(
-                "query length {n} exceeds the session's derivation length \
-                 (n_hint = {}); open a session with larger params",
-                self.params.n_hint
-            )));
-        }
-        Ok(())
-    }
-
     /// Highest finished level — queries `≤` this are free.
     pub fn levels_built(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.built)
+        self.inner.as_ref().map_or(0, |run| run.built)
     }
 
     /// Overrides the per-`sample` retry limit (default
@@ -435,55 +337,20 @@ impl QuerySession {
 
     /// Extends the checkpointed run so levels `1..=n` are finished.
     ///
-    /// Runs `engine::run_level` — the same function a fresh run loops
-    /// over — for each missing level, with the session-owned policy and
-    /// cumulative stats. On a budget abort the session is poisoned (the
-    /// offending level is half-built) and every later query fails fast.
+    /// Runs [`Checkpoint::extend`] — the same loop a fresh run goes
+    /// through — with the session-owned policy and cumulative stats.
+    /// On a budget abort the session is poisoned (the offending level
+    /// is half-built) and every later query fails fast.
     fn ensure_built(&mut self, n: usize) -> Result<(), FprasError> {
         self.check_poisoned()?;
-        let Some(inner) = self.inner.as_mut() else {
+        // A checkpoint hit builds nothing, so no policy (and no worker
+        // pool) is set up for it.
+        let Some(run) = self.inner.as_mut().filter(|run| n > run.built) else {
             return Ok(());
         };
-        if n <= inner.built {
-            return Ok(());
-        }
-        let start = std::time::Instant::now();
-        let SessionInner { substrate, interner, table, memo, sampler_seed, built, .. } = inner;
-        substrate.ensure_horizon(n);
-        table.grow(n);
-        let ctx = EngineCtx {
-            params: &self.params,
-            substrate: &**substrate,
-            interner,
-            m: substrate.universe(),
-            k: substrate.width() as u8,
-            sampler_seed: *sampler_seed,
-        };
-        let from_level = *built + 1;
-        let substrate_kind = substrate.kind();
-        let policy_label = match &self.policy {
-            PolicyState::Serial { .. } => "serial",
-            PolicyState::Deterministic { .. } => "deterministic",
-        };
-        crate::obs::emit_with(|| crate::obs::TraceEvent::RunStart {
-            substrate: substrate_kind,
-            policy: policy_label,
-            n,
-            from_level,
-        });
-        let mut result = Ok(());
-        match &mut self.policy {
+        let result = match &mut self.policy {
             PolicyState::Serial { rng } => {
-                let mut policy = Serial::new(rng);
-                for ell in *built + 1..=n {
-                    match run_level(&ctx, table, memo, &mut self.run_stats, ell, &mut policy) {
-                        Ok(()) => *built = ell,
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                }
+                run.extend(n, &self.params, &mut Serial::new(rng), &mut self.run_stats)
             }
             PolicyState::Deterministic { seed, threads, shared_pool } => {
                 // Workers live only for this extension unless a serving
@@ -493,36 +360,10 @@ impl QuerySession {
                     Some(pool) => Deterministic::with_pool(*seed, Arc::clone(pool)),
                     None => Deterministic::new(*seed, *threads),
                 };
-                for ell in *built + 1..=n {
-                    match run_level(&ctx, table, memo, &mut self.run_stats, ell, &mut policy) {
-                        Ok(()) => *built = ell,
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                }
-                // Executor evidence (D10), drained once per extension
-                // like a fresh run drains it once per run.
-                let drained = policy.take_pool_stats();
-                self.run_stats.pool.merge(&drained);
+                run.extend(n, &self.params, &mut policy, &mut self.run_stats)
             }
-        }
-        // Snapshot (not merge): the interner is cumulative over the
-        // session's whole life, so the latest reading is the total.
-        self.run_stats.intern = interner.stats();
-        let wall = start.elapsed();
-        self.run_stats.wall += wall;
-        // The session's cumulative build wall is one merged contribution
-        // when the registry folds sessions together (wall_longest).
-        self.run_stats.wall_max = self.run_stats.wall;
-        crate::obs::emit_with(|| crate::obs::TraceEvent::RunEnd {
-            ops: self.run_stats.membership_ops,
-            wall_us: wall.as_micros() as u64,
-        });
-        if result.is_err() {
-            self.poisoned = true;
-        }
+        };
+        self.poisoned = result.is_err();
         result
     }
 
@@ -552,7 +393,7 @@ impl QuerySession {
     /// the session's seed and policy (DESIGN.md D11).
     pub fn estimate(&mut self, n: usize) -> Result<ExtFloat, FprasError> {
         self.check_poisoned()?;
-        self.check_horizon(n)?;
+        self.params.check_length(n)?;
         let qstart = std::time::Instant::now();
         let have = self.levels_built();
         if n == 0 {
@@ -563,10 +404,7 @@ impl QuerySession {
         self.ensure_built(n)?;
         self.account_query(n, have, true);
         self.stats.latency.record_duration(qstart.elapsed());
-        let Some(inner) = self.inner.as_ref() else {
-            return Ok(ExtFloat::ZERO);
-        };
-        Ok(inner.table.cell(n, inner.q_final as usize).n_est)
+        Ok(self.inner.as_ref().map_or(ExtFloat::ZERO, |run| run.estimate(n)))
     }
 
     /// Estimates every slice `|L(A_ℓ)|` for `ℓ ∈ a..=b` from the one
@@ -580,7 +418,7 @@ impl QuerySession {
         if a > b {
             return Ok(Vec::new());
         }
-        self.check_horizon(b)?;
+        self.params.check_length(b)?;
         let qstart = std::time::Instant::now();
         let have = self.levels_built();
         self.ensure_built(b)?;
@@ -595,9 +433,7 @@ impl QuerySession {
                         ExtFloat::ZERO
                     }
                 } else {
-                    self.inner
-                        .as_ref()
-                        .map_or(ExtFloat::ZERO, |i| i.table.cell(ell, i.q_final as usize).n_est)
+                    self.inner.as_ref().map_or(ExtFloat::ZERO, |run| run.estimate(ell))
                 }
             })
             .collect())
@@ -620,7 +456,7 @@ impl QuerySession {
         rng: &mut R,
     ) -> Result<Option<Word>, FprasError> {
         self.check_poisoned()?;
-        self.check_horizon(n)?;
+        self.params.check_length(n)?;
         let qstart = std::time::Instant::now();
         let have = self.levels_built();
         if n == 0 {
@@ -630,41 +466,16 @@ impl QuerySession {
         }
         self.ensure_built(n)?;
         self.account_query(n, have, false);
-        let Some(inner) = self.inner.as_mut() else {
+        let Some(run) = self.inner.as_mut() else {
             self.stats.latency.record_duration(qstart.elapsed());
             return Ok(None);
         };
         let start = std::time::Instant::now();
-        let mut out = Ok(None);
-        let env = SamplerEnv {
-            params: &self.params,
-            substrate: &*inner.substrate,
-            interner: &inner.interner,
-            sampler_seed: inner.sampler_seed,
-        };
-        for _ in 0..self.retry_limit {
-            match sample_word(
-                &env,
-                &inner.table,
-                &mut inner.memo,
-                inner.q_final,
-                n,
-                rng,
-                &mut inner.scratch,
-                &mut self.query_stats,
-            ) {
-                SampleOutcome::Word(w) => {
-                    out = Ok(Some(w));
-                    break;
-                }
-                SampleOutcome::DeadEnd => break,
-                SampleOutcome::FailPhi | SampleOutcome::FailCoin => {}
-            }
-        }
+        let word = run.draw(&self.params, n, rng, self.retry_limit, &mut self.query_stats);
         self.query_stats.wall += start.elapsed();
         self.query_stats.wall_max = self.query_stats.wall;
         self.stats.latency.record_duration(qstart.elapsed());
-        out
+        Ok(word)
     }
 
     /// True iff the length-`n` slice is empty — a `sample(n)` that
@@ -675,15 +486,12 @@ impl QuerySession {
     /// (without counting a query).
     pub fn slice_is_empty(&mut self, n: usize) -> Result<bool, FprasError> {
         self.check_poisoned()?;
-        self.check_horizon(n)?;
+        self.params.check_length(n)?;
         if n == 0 {
             return Ok(!self.accepts_lambda);
         }
         self.ensure_built(n)?;
-        let Some(inner) = self.inner.as_ref() else {
-            return Ok(true);
-        };
-        Ok(inner.table.cell(n, inner.q_final as usize).n_est.is_zero())
+        Ok(self.inner.as_ref().is_none_or(|run| run.estimate(n).is_zero()))
     }
 }
 
@@ -691,9 +499,28 @@ impl QuerySession {
 mod tests {
     use super::*;
     use crate::counter::FprasRun;
-    use crate::engine::run_parallel;
+    use crate::engine::{run_parallel, run_robp_parallel};
+    use crate::generator::UniformGenerator;
+    use crate::intern::InternStats;
     use fpras_automata::exact::count_exact;
     use fpras_automata::{Alphabet, NfaBuilder};
+
+    /// The deterministic work counters of `stats`: everything except
+    /// wall clock, phase attribution, pool scheduling, and the
+    /// interner's race-dependent hit and arena counters.
+    fn work(stats: &RunStats) -> RunStats {
+        RunStats {
+            pool: Default::default(),
+            phase: Default::default(),
+            wall: Default::default(),
+            wall_max: Default::default(),
+            intern: InternStats {
+                distinct_frontiers: stats.intern.distinct_frontiers,
+                ..Default::default()
+            },
+            ..stats.clone()
+        }
+    }
 
     fn contains_11() -> Nfa {
         let mut b = NfaBuilder::new(Alphabet::binary());
@@ -938,6 +765,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(9);
         let fresh = FprasRun::run_robp(&robp, &params, &mut rng).unwrap();
         assert_eq!(got, fresh.estimate());
+        // Two extensions (1..=2, then 3..=4) do exactly one fresh run's work.
+        assert_eq!(work(session.run_stats()), work(fresh.stats()));
         let exact = count_exact(&robp.to_nfa(), 4).unwrap().to_f64();
         assert!((got.to_f64() - exact).abs() / exact < 0.3);
         // Sampled assignments are genuine members of the language.
@@ -950,6 +779,54 @@ mod tests {
             }
         }
         assert!(drawn > 0);
+    }
+
+    #[test]
+    fn session_samples_equal_generator_samples() {
+        // A session's `sample` and a generator over a fresh run share one
+        // draw loop: from identically seeded caller RNGs they return the
+        // same word sequence, on both substrates and under both policies.
+        let nfa = contains_11();
+        let robp = robp_contains_11();
+        let n = 4;
+        let nfa_params = Params::for_session(0.3, 0.1, 3, n);
+        let robp_params = Params::for_session(0.3, 0.1, robp.num_nodes(), n);
+        for policy in [
+            SessionPolicy::Serial { seed: 7 },
+            SessionPolicy::Deterministic { seed: 7, threads: 2 },
+        ] {
+            let serial = matches!(policy, SessionPolicy::Serial { .. });
+            let pairs = [
+                (
+                    QuerySession::new(&nfa, nfa_params.clone(), policy.clone()).unwrap(),
+                    if serial {
+                        FprasRun::run(&nfa, n, &nfa_params, &mut SmallRng::seed_from_u64(7))
+                    } else {
+                        run_parallel(&nfa, n, &nfa_params, 7, 2)
+                    },
+                ),
+                (
+                    QuerySession::new_robp(&robp, robp_params.clone(), policy.clone()).unwrap(),
+                    if serial {
+                        FprasRun::run_robp(&robp, &robp_params, &mut SmallRng::seed_from_u64(7))
+                    } else {
+                        run_robp_parallel(&robp, &robp_params, 7, 2)
+                    },
+                ),
+            ];
+            for (mut session, fresh) in pairs {
+                session.estimate(n).unwrap();
+                let mut generator = UniformGenerator::new(fresh.unwrap());
+                let mut session_rng = SmallRng::seed_from_u64(31);
+                let mut generator_rng = SmallRng::seed_from_u64(31);
+                let from_session: Vec<Option<Word>> =
+                    (0..40).map(|_| session.sample(n, &mut session_rng).unwrap()).collect();
+                let from_generator: Vec<Option<Word>> =
+                    (0..40).map(|_| generator.generate(&mut generator_rng)).collect();
+                assert!(from_session.iter().any(Option::is_some), "{policy:?}: no word drawn");
+                assert_eq!(from_session, from_generator, "{policy:?}");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   session's answer equals `FprasRun::run` (Serial) resp.
 //!   `run_parallel` (Deterministic, threads 1/2/8) from scratch, bit
 //!   for bit — including re-queries of lengths the session answered
-//!   before extending further.
+//!   before extending further. The first query, which builds from level
+//!   0, also does exactly the fresh run's work (every deterministic
+//!   [`RunStats`] counter agrees).
 //! * **Queries are inert** — interleaved `sample` queries (which
 //!   consume caller randomness and insert frontier-keyed memo entries)
 //!   must not perturb any later extension.
@@ -19,13 +21,30 @@
 //!   the same answers as dedicated sessions.
 
 use fpras_core::service::{QuerySession, ServiceRegistry, SessionPolicy};
-use fpras_core::{run_parallel, FprasRun, Params};
+use fpras_core::{run_parallel, FprasRun, InternStats, Params, RunStats};
 use fpras_workloads::{random_nfa, RandomNfaConfig};
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, SeedableRng};
 
 fn session_params(states: usize, n: usize) -> Params {
     Params::for_session(0.4, 0.1, states, n)
+}
+
+/// The deterministic work counters of `stats`: everything except wall
+/// clock, phase attribution, pool scheduling, and the interner's hit
+/// and arena counters (which depend on how worker threads raced).
+fn work(stats: &RunStats) -> RunStats {
+    RunStats {
+        pool: Default::default(),
+        phase: Default::default(),
+        wall: Default::default(),
+        wall_max: Default::default(),
+        intern: InternStats {
+            distinct_frontiers: stats.intern.distinct_frontiers,
+            ..Default::default()
+        },
+        ..stats.clone()
+    }
 }
 
 proptest! {
@@ -57,11 +76,14 @@ proptest! {
         // Random query order, including revisits after extension.
         let mut lengths = lengths;
         lengths.push(lengths[0]);
-        for &n in &lengths {
+        for (i, &n) in lengths.iter().enumerate() {
             let got = session.estimate(n).unwrap();
             let mut rng = SmallRng::seed_from_u64(run_seed);
             let fresh = FprasRun::run(&nfa, n, &params, &mut rng).unwrap();
             prop_assert_eq!(got, fresh.estimate(), "serial, n = {}", n);
+            if i == 0 {
+                prop_assert_eq!(work(session.run_stats()), work(fresh.stats()), "serial work");
+            }
         }
     }
 
@@ -90,7 +112,7 @@ proptest! {
                 params.clone(),
                 SessionPolicy::Deterministic { seed: run_seed, threads },
             ).unwrap();
-            for &n in &lengths {
+            for (i, &n) in lengths.iter().enumerate() {
                 let got = session.estimate(n).unwrap();
                 let fresh = run_parallel(&nfa, n, &params, run_seed, threads).unwrap();
                 prop_assert_eq!(
@@ -100,6 +122,14 @@ proptest! {
                     threads,
                     n
                 );
+                if i == 0 {
+                    prop_assert_eq!(
+                        work(session.run_stats()),
+                        work(fresh.stats()),
+                        "deterministic work, t = {}",
+                        threads
+                    );
+                }
             }
         }
     }

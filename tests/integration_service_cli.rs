@@ -205,31 +205,39 @@ fn serve_answers_every_bad_line_with_one_error() {
 
 #[test]
 fn serve_answers_hostile_automata_with_one_error_each() {
-    // Inputs that used to panic or hang the whole process: a duplicate
-    // or oversized `alphabet` line in a --file automaton, and bounded
-    // repetitions that unfold into a huge regex. Each gets one `error:`
-    // line and the session after them is still served.
+    // Inputs that used to panic, hang or exhaust memory in the whole
+    // process: a duplicate or oversized `alphabet` line or a huge
+    // `states` count in a --file automaton, and bounded repetitions that
+    // unfold into a huge regex. Each gets one `error:` line and the
+    // session after them is still served.
     let dup = write_fixture("serve-dup-alphabet.nfa", "alphabet 00\nstates 1\ninitial 0\n");
     let names: String = (0..300u32).map(|i| char::from_u32(0x4E00 + i).unwrap()).collect();
     let wide = write_fixture("serve-wide-alphabet.nfa", &format!("alphabet {names}\nstates 1\n"));
+    let huge = write_fixture(
+        "serve-huge-states.nfa",
+        "alphabet 01\nstates 5000000000\ninitial 0\naccepting 0\ntrans 0 0 0\n",
+    );
     let input = format!(
         "open d --file {}\n\
          open w --file {}\n\
+         open h --file {}\n\
          open r --regex (0|1){{99999999}}\n\
          open s --regex ((0|1){{1000}}){{1000}}\n\
          open a --regex 1*\n\
          estimate 3\n\
          quit\n",
         dup.display(),
-        wide.display()
+        wide.display(),
+        huge.display()
     );
     let (stdout, stderr, ok) = run_with_stdin(&["serve"], &input);
     assert!(ok, "stderr: {stderr}");
     let errors: Vec<&str> = stdout.lines().filter(|l| l.starts_with("error: ")).collect();
-    assert_eq!(errors.len(), 4, "one error per bad line:\n{stdout}");
+    assert_eq!(errors.len(), 5, "one error per bad line:\n{stdout}");
     assert!(errors[0].contains("line 1: duplicate symbol name '0'"), "{stdout}");
     assert!(errors[1].contains("line 1: alphabet too large: 300 symbols"), "{stdout}");
-    for e in &errors[2..] {
+    assert!(errors[2].contains("line 2: too many states: 5000000000"), "{stdout}");
+    for e in &errors[3..] {
         assert!(e.contains("unfolding repetitions"), "{stdout}");
     }
     assert!(stdout.contains("estimate 3 = 1"), "{stdout}");
