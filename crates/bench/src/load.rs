@@ -2,13 +2,12 @@
 //! measured experiment.
 //!
 //! Drives a large [`query_trace`] (10⁵ queries at full size, with
-//! repeat-bias *and* hot-tenant locality) through the same machinery
-//! `nfa-count serve` uses — a [`ServiceRegistry`] plus an
-//! [`AdmissionController`] with per-tenant level ledgers — and records
-//! what a latency SLO actually cares about: the p50/p99 per-query
-//! distribution (not just the amortized mean), the reuse rate, and how
-//! many queries the quota machinery turned away. Two rows land in
-//! `BENCH_counter.json`:
+//! repeat-bias *and* hot-tenant locality) through the same
+//! [`Server`] `nfa-count serve` runs — one tenant per automaton, each
+//! query a typed `use` + `estimate` pair — and records what a latency
+//! SLO actually cares about: the p50/p99 per-query distribution (not
+//! just the amortized mean), the reuse rate, and how many queries the
+//! quota machinery turned away. Two rows land in `BENCH_counter.json`:
 //!
 //! * `session(load)` — unlimited quotas: every query served, reuse does
 //!   the heavy lifting (p50 is a cache hit, p99 is a cold extension);
@@ -23,10 +22,8 @@
 //! scaling-smoke job owns that claim, gated on `available_parallelism`).
 
 use crate::json::CounterMeasurement;
-use fpras_core::service::{
-    AdmissionController, QuotaConfig, ServiceRegistry, SessionKey, SessionPolicy,
-};
-use fpras_core::{FprasError, LatencyHistogram, Params, PhaseWall};
+use fpras_core::service::protocol::{Answer, Query, Request, Response, Server, TenantSpec};
+use fpras_core::{FprasError, LatencyHistogram, PhaseWall, QuotaConfig};
 use fpras_workloads::{families, query_trace, QueryTraceConfig};
 use rand::{rngs::SmallRng, SeedableRng};
 use std::time::Instant;
@@ -36,23 +33,23 @@ fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// One serve-equivalent pass over the trace: per-query admission
-/// (ledger precheck + op-budget install), per-query latency, recycle on
-/// poison — the `nfa-count serve` data path without the line protocol.
+/// One serve pass over the trace: every automaton opened as a tenant
+/// under `spec`, then per query a `use` and an `estimate` through
+/// [`Server::handle`] (admission, op budget, recycle on poison), timed
+/// per query.
 fn run_load(
     trace: &[fpras_workloads::TraceQuery],
     automata: &[fpras_automata::Nfa],
-    params: &[Params],
-    policy: &SessionPolicy,
+    spec: &TenantSpec,
     quota: QuotaConfig,
     instance: &str,
     method: &str,
 ) -> CounterMeasurement {
-    let keys: Vec<SessionKey> =
-        automata.iter().zip(params).map(|(nfa, p)| SessionKey::new(nfa, p, policy)).collect();
-    let mut registry = ServiceRegistry::new(automata.len());
-    let mut admission = AdmissionController::new(quota);
-    let mut ledgers = vec![0u64; automata.len()];
+    let mut server = Server::new(spec.clone(), quota);
+    let names: Vec<String> = (0..automata.len()).map(|i| format!("t{i}")).collect();
+    for (name, nfa) in names.iter().zip(automata) {
+        server.open(name, nfa.clone(), spec).expect("load params are valid by construction");
+    }
     // The per-query distribution lives in a mergeable log-bucketed
     // histogram (the same type the serve layer aggregates per tenant) —
     // no raw-sample vector, no end-of-run sort. Quantiles come out as
@@ -63,31 +60,19 @@ fn run_load(
     let start = Instant::now();
     for q in trace {
         let t0 = Instant::now();
-        let (session, _recycled) = registry
-            .session_with_key_recycled(
-                keys[q.automaton].clone(),
-                &automata[q.automaton],
-                &params[q.automaton],
-                policy,
-            )
-            .expect("load params are valid by construction");
-        let needed = q.len.saturating_sub(session.levels_built()) as u64;
-        if admission.admit_levels(ledgers[q.automaton], needed).is_err() {
-            latency.record_duration(t0.elapsed());
-            continue;
+        server.handle(Request::Use(names[q.automaton].clone()));
+        match server.handle(Request::Query(Query::Estimate(q.len))) {
+            Response::Answer(Answer { estimates, error: None, .. }) => last = estimates[0].1,
+            // Level-quota denials and budget aborts: the admission
+            // controller counts both.
+            Response::Error(_)
+            | Response::Answer(Answer { error: Some(FprasError::BudgetExceeded { .. }), .. }) => {}
+            other => panic!("load query failed: {other}"),
         }
-        session
-            .set_build_ops_budget(admission.per_query_ops_cap(session.run_stats().membership_ops));
-        let built_before = session.levels_built();
-        match session.estimate(q.len) {
-            Ok(est) => last = est,
-            Err(FprasError::BudgetExceeded { .. }) => admission.record_budget_abort(),
-            Err(e) => panic!("load query failed: {e}"),
-        }
-        ledgers[q.automaton] += (session.levels_built() - built_before) as u64;
         latency.record_duration(t0.elapsed());
     }
     let wall = start.elapsed();
+    let registry = server.registry();
     let totals = registry.session_totals();
     let ops: u64 = registry.sessions().map(|s| s.run_stats().membership_ops).sum();
     let mut phase = PhaseWall::default();
@@ -97,10 +82,7 @@ fn run_load(
     CounterMeasurement {
         instance: instance.to_string(),
         method: method.to_string(),
-        threads: match policy {
-            SessionPolicy::Serial { .. } => 0,
-            SessionPolicy::Deterministic { threads, .. } => *threads,
-        },
+        threads: spec.threads,
         wall_seconds: wall.as_secs_f64(),
         estimate: last.to_f64(),
         estimate_log2: last.log2(),
@@ -119,7 +101,7 @@ fn run_load(
         us_per_query: Some(wall.as_secs_f64() * 1e6 / trace.len() as f64),
         p50_us: latency.quantile(0.5).map(|us| us as f64),
         p99_us: latency.quantile(0.99).map(|us| us as f64),
-        quota_rejections: admission.stats().quota_rejections(),
+        quota_rejections: server.admission().stats().quota_rejections(),
         reuse_rate: Some(totals.reuse_rate()),
     }
 }
@@ -139,29 +121,24 @@ pub fn load_harness_rows(quick: bool, seed: u64) -> Vec<CounterMeasurement> {
         hot_automaton_bias: 0.5,
     };
     let trace = query_trace(&config, &mut SmallRng::seed_from_u64(seed ^ 0x10AD));
-    let params: Vec<Params> = automata
-        .iter()
-        .map(|nfa| Params::for_session(0.25, 0.1, nfa.num_states(), max_len))
-        .collect();
-    let policy = SessionPolicy::Deterministic { seed, threads: 1 };
+    let spec = TenantSpec {
+        eps: 0.25,
+        delta: 0.1,
+        seed,
+        threads: 1,
+        max_n: max_len,
+        ..TenantSpec::default()
+    };
     let instance = format!("load-harness/q={queries}");
-    let unlimited = run_load(
-        &trace,
-        &automata,
-        &params,
-        &policy,
-        QuotaConfig::default(),
-        &instance,
-        "session(load)",
-    );
+    let unlimited =
+        run_load(&trace, &automata, &spec, QuotaConfig::default(), &instance, "session(load)");
     // The quota row caps each tenant's cumulative level ledger below
     // the trace's max length: queries above the built horizon are shed
     // once the ledger fills, everything at or below keeps being served
     // from reuse.
     let quota =
         QuotaConfig { max_total_levels: Some(max_len as u64 - 4), ..QuotaConfig::default() };
-    let quota_row =
-        run_load(&trace, &automata, &params, &policy, quota, &instance, "session(load+quota)");
+    let quota_row = run_load(&trace, &automata, &spec, quota, &instance, "session(load+quota)");
     vec![unlimited, quota_row]
 }
 

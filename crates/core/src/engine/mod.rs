@@ -88,7 +88,7 @@ pub use batch::{FrontierGroup, LevelPlan};
 pub(crate) use checkpoint::Checkpoint;
 pub use memo::{MemoEntry, MemoTier, UnionMemo};
 pub use policy::{Deterministic, ExecutionPolicy, Serial};
-pub use pool::Pool;
+pub use pool::{Pool, MAX_THREADS};
 pub use substrate::{LeveledSubstrate, NfaSubstrate, RobpSubstrate};
 
 /// Immutable per-run context handed to policies and cell computations.

@@ -186,6 +186,11 @@ struct PoolShared {
     stats: Mutex<PoolStats>,
 }
 
+/// Largest worker count a front-end accepts for a Deterministic run or
+/// session. Each worker is an OS thread, and `Pool::new` cannot recover
+/// from a failed spawn, so callers reject larger counts up front.
+pub const MAX_THREADS: usize = 256;
+
 /// A persistent deterministic work-stealing executor.
 ///
 /// `Pool::new(threads, …)` spawns `threads − 1` OS workers (the caller

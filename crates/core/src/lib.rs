@@ -81,7 +81,7 @@ pub use counter::FprasRun;
 pub use engine::{
     run_parallel, run_robp_parallel, run_robp_with_policy, run_with_policy, Deterministic,
     ExecutionPolicy, FrontierGroup, LevelPlan, LeveledSubstrate, MemoEntry, MemoTier, NfaSubstrate,
-    Pool, RobpSubstrate, Serial, UnionMemo,
+    Pool, RobpSubstrate, Serial, UnionMemo, MAX_THREADS,
 };
 pub use error::FprasError;
 pub use generator::UniformGenerator;

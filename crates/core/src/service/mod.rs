@@ -19,6 +19,10 @@
 //! * [`ServiceRegistry`] — an LRU cache of sessions keyed by automaton
 //!   fingerprint × [`Params::fingerprint`](crate::Params::fingerprint) × [`SessionPolicy`], so a
 //!   stream of mixed-automaton queries turns into session cache hits.
+//! * [`protocol`] — the `nfa-count serve` line protocol: a typed
+//!   [`Request`](protocol::Request) and a [`Server`](protocol::Server)
+//!   that owns the registry, the [`AdmissionController`] and the
+//!   tenants, and runs every query through the one admission order.
 //! * [`SessionStats`] / [`ServiceStats`] — levels built vs. reused and
 //!   session churn, the amortization evidence the bench layer records.
 //!
@@ -46,6 +50,7 @@
 //! `proptest_service.rs` enforces the invariant for both policies over
 //! random automata and random query orders.
 
+pub mod protocol;
 mod quota;
 mod registry;
 mod session;

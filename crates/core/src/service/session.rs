@@ -2,7 +2,7 @@
 
 use crate::engine::{
     normalize_for_run, Checkpoint, Deterministic, LeveledSubstrate, NfaSubstrate, Pool,
-    RobpSubstrate, Serial,
+    RobpSubstrate, Serial, MAX_THREADS,
 };
 use crate::error::FprasError;
 use crate::generator::DEFAULT_RETRY_LIMIT;
@@ -146,8 +146,9 @@ pub struct QuerySession {
 impl QuerySession {
     /// Compiles `nfa` into a fresh session under `params` and `policy`.
     ///
-    /// Validates `params` ([`Params::validate`], the one shared checker)
-    /// and additionally rejects `trim_dead`: which cells level `ℓ`
+    /// Validates `params` ([`Params::validate`], the one shared checker),
+    /// rejects a Deterministic thread count above [`MAX_THREADS`] before
+    /// any worker exists, and rejects `trim_dead`: which cells level `ℓ`
     /// processes must not depend on how far the run has been extended,
     /// or resumed sessions could not be bit-identical to fresh runs.
     pub fn new(nfa: &Nfa, params: Params, policy: SessionPolicy) -> Result<Self, FprasError> {
@@ -201,6 +202,13 @@ impl QuerySession {
                  Params::for_session (or set trim_dead = false)"
                     .into(),
             ));
+        }
+        if let SessionPolicy::Deterministic { threads, .. } = policy {
+            if threads > MAX_THREADS {
+                return Err(FprasError::InvalidParams(format!(
+                    "threads must be at most {MAX_THREADS}, got {threads}"
+                )));
+            }
         }
         let policy = policy.normalized();
         let mut policy_state = match &policy {

@@ -218,3 +218,27 @@ fn bad_usage_fails_fast() {
     assert!(!ok);
     assert!(stderr.contains("cannot compile regex"), "{stderr}");
 }
+
+#[test]
+fn threads_above_cap_are_usage_errors() {
+    // `Pool::new` cannot recover from a failed `thread::spawn`, so every
+    // argv surface refuses a worker count above the cap as a usage
+    // error (exit 2) before any pool exists.
+    let robp = write_fixture("parity-threads.robp", PARITY_ROBP);
+    let robp = robp.to_str().expect("utf-8 path");
+    for args in [
+        vec!["--regex", "(0|1)*1", "-n", "4", "--threads", "100000"],
+        vec!["robp", "--file", robp, "--threads", "100000"],
+        vec!["query", "--regex", "(0|1)*1", "--lengths", "4", "--threads", "100000"],
+        vec!["serve", "--regex", "(0|1)*1", "--threads", "100000"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nfa-count"))
+            .args(&args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("at most 256"), "{args:?}: {stderr}");
+    }
+}

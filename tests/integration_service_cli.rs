@@ -171,6 +171,7 @@ fn serve_answers_every_bad_line_with_one_error() {
                  open a --regex 1* --eps huge\n\
                  open a --regex 1*\n\
                  open a --regex 1*\n\
+                 open b --regex (0|1)*1 --threads 100000\n\
                  use nobody\n\
                  close nobody\n\
                  estimate\n\
@@ -178,6 +179,7 @@ fn serve_answers_every_bad_line_with_one_error() {
                  range 5 2\n\
                  sample 3 0\n\
                  sample 3 -1\n\
+                 sample 4 100000000000\n\
                  sample\n\
                  frobnicate\n\
                  estimate 3\n\
@@ -185,7 +187,7 @@ fn serve_answers_every_bad_line_with_one_error() {
     let (stdout, stderr, ok) = run_with_stdin(&["serve"], input);
     assert!(ok, "stderr: {stderr}");
     let errors = stdout.lines().filter(|l| l.starts_with("error: ")).count();
-    assert_eq!(errors, 15, "one error per bad line:\n{stdout}");
+    assert_eq!(errors, 17, "one error per bad line:\n{stdout}");
     assert!(stdout.contains("error: no session selected"), "{stdout}");
     assert!(stdout.contains("error: open requires --regex or --file"), "{stdout}");
     assert!(stdout.contains("error: cannot compile regex"), "{stdout}");
@@ -198,6 +200,8 @@ fn serve_answers_every_bad_line_with_one_error() {
     assert!(stdout.contains("COUNT must be a positive integer"), "{stdout}");
     assert!(stdout.contains("error: usage: sample N [COUNT]"), "{stdout}");
     assert!(stdout.contains("error: unknown command \"frobnicate\""), "{stdout}");
+    assert!(stdout.contains("error: invalid parameters: threads must be at most 256"), "{stdout}");
+    assert!(stdout.contains("COUNT must be a positive integer, at most 10000"), "{stdout}");
     // The good lines still answered.
     assert!(stdout.contains("opened a (2 states"), "{stdout}");
     assert!(stdout.contains("estimate 3 = 1"), "{stdout}");
