@@ -9,7 +9,7 @@ use fpras_automata::exact::{brute_force_count, count_exact, ExactError};
 use fpras_automata::robp::Robp;
 use fpras_automata::Nfa;
 use fpras_bdd::BddError;
-use fpras_core::{run_parallel, run_robp_parallel, FprasError, FprasRun, Params, PhaseWall};
+use fpras_core::{run_parallel, FprasError, FprasRun, Params, PhaseWall, RunInput};
 use fpras_numeric::ExtFloat;
 use rand::{rngs::SmallRng, SeedableRng};
 use std::time::Instant;
@@ -168,6 +168,38 @@ impl CounterOutput {
     }
 }
 
+/// The engine on any substrate: the Serial policy at `threads = 0`,
+/// Deterministic otherwise.
+fn fpras_output<I: RunInput + ?Sized>(
+    input: &I,
+    n: usize,
+    params: &Params,
+    seed: u64,
+    threads: usize,
+    start: Instant,
+) -> Result<CounterOutput, CounterError> {
+    let run = if threads == 0 {
+        FprasRun::run(input, n, params, &mut SmallRng::seed_from_u64(seed))
+    } else {
+        run_parallel(input, n, params, seed, threads)
+    }
+    .map_err(CounterError::Fpras)?;
+    let stats = run.stats();
+    Ok(CounterOutput {
+        estimate: run.estimate(),
+        exact: false,
+        ops: stats.membership_ops,
+        cells_deduped: stats.batch.cells_deduped,
+        preestimate_hits: stats.share.preestimate_hits,
+        memo_entries_shared: stats.memo.entries_shared,
+        pool_steals: stats.pool.steals,
+        distinct_frontiers: stats.intern.distinct_frontiers,
+        intern_hits: stats.intern.intern_hits,
+        phase: stats.phase,
+        wall: start.elapsed(),
+    })
+}
+
 /// Runs `kind` on `(nfa, n)` with accuracy targets `(eps, delta)` and a
 /// deterministic seed.
 pub fn run_counter(
@@ -182,60 +214,21 @@ pub fn run_counter(
     match kind {
         CounterKind::Fpras { threads } => {
             let params = Params::practical(eps, delta, nfa.num_states(), n);
-            let run = if *threads == 0 {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                FprasRun::run(nfa, n, &params, &mut rng)
-            } else {
-                run_parallel(nfa, n, &params, seed, *threads)
-            }
-            .map_err(CounterError::Fpras)?;
-            Ok(CounterOutput {
-                estimate: run.estimate(),
-                exact: false,
-                ops: run.stats().membership_ops,
-                cells_deduped: run.stats().batch.cells_deduped,
-                preestimate_hits: run.stats().share.preestimate_hits,
-                memo_entries_shared: run.stats().memo.entries_shared,
-                pool_steals: run.stats().pool.steals,
-                distinct_frontiers: run.stats().intern.distinct_frontiers,
-                intern_hits: run.stats().intern.intern_hits,
-                phase: run.stats().phase,
-                wall: start.elapsed(),
-            })
+            fpras_output(nfa, n, &params, seed, *threads, start)
         }
-        CounterKind::RobpFpras { threads } => {
-            let robp = match Robp::from_nfa(nfa, n) {
-                Ok(r) => r,
-                Err(_) => {
-                    // n = 0 (λ is decided directly) or an empty slice:
-                    // the encoding refuses, and the count is exact.
-                    let accepts_lambda = n == 0 && nfa.is_accepting(nfa.initial());
-                    let est = if accepts_lambda { ExtFloat::ONE } else { ExtFloat::ZERO };
-                    return Ok(CounterOutput::plain(est, true, 0, start.elapsed()));
-                }
-            };
-            let params = Params::practical(eps, delta, robp.num_nodes(), n);
-            let run = if *threads == 0 {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                FprasRun::run_robp(&robp, &params, &mut rng)
-            } else {
-                run_robp_parallel(&robp, &params, seed, *threads)
+        CounterKind::RobpFpras { threads } => match Robp::from_nfa(nfa, n) {
+            Ok(robp) => {
+                let params = Params::practical(eps, delta, robp.num_nodes(), n);
+                fpras_output(&robp, n, &params, seed, *threads, start)
             }
-            .map_err(CounterError::Fpras)?;
-            Ok(CounterOutput {
-                estimate: run.estimate(),
-                exact: false,
-                ops: run.stats().membership_ops,
-                cells_deduped: run.stats().batch.cells_deduped,
-                preestimate_hits: run.stats().share.preestimate_hits,
-                memo_entries_shared: run.stats().memo.entries_shared,
-                pool_steals: run.stats().pool.steals,
-                distinct_frontiers: run.stats().intern.distinct_frontiers,
-                intern_hits: run.stats().intern.intern_hits,
-                phase: run.stats().phase,
-                wall: start.elapsed(),
-            })
-        }
+            Err(_) => {
+                // n = 0 (λ is decided directly) or an empty slice: the
+                // encoding refuses, and the count is exact.
+                let accepts_lambda = n == 0 && nfa.is_accepting(nfa.initial());
+                let est = if accepts_lambda { ExtFloat::ONE } else { ExtFloat::ZERO };
+                Ok(CounterOutput::plain(est, true, 0, start.elapsed()))
+            }
+        },
         CounterKind::Acjr => {
             let params = AcjrParams::practical(eps, delta, nfa.num_states(), n);
             let mut rng = SmallRng::seed_from_u64(seed);

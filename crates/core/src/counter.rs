@@ -14,12 +14,11 @@
 //! * `n = 0` is answered directly (`λ ∈ L(A)` iff the initial state
 //!   accepts).
 
-use crate::engine::{run_robp_with_policy, run_with_policy, Checkpoint, Serial};
+use crate::engine::{run_with_policy, Checkpoint, RunInput, Serial};
 use crate::error::FprasError;
 use crate::params::Params;
 use crate::run_stats::RunStats;
-use fpras_automata::robp::Robp;
-use fpras_automata::{Nfa, StateId};
+use fpras_automata::StateId;
 use fpras_numeric::ExtFloat;
 use rand::Rng;
 
@@ -38,31 +37,21 @@ pub struct FprasRun {
 }
 
 impl FprasRun {
-    /// Runs the FPRAS on `nfa` for words of length `n` with the
+    /// Runs the FPRAS on `input` for words of length `n` with the
     /// [`Serial`] policy: one caller RNG threaded through the cells.
     ///
-    /// Accepts any NFA (multiple accepting states are normalized away).
-    /// Randomness comes entirely from `rng`, so seeded runs are
-    /// reproducible. For the thread-count-independent parallel runner
-    /// see [`crate::engine::run_parallel`].
-    pub fn run<R: Rng + ?Sized>(
-        nfa: &Nfa,
+    /// `input` is any [`RunInput`]: an NFA (multiple accepting states
+    /// are normalized away) or an nROBP (DESIGN.md D14; `n` is at most
+    /// its depth). Randomness comes entirely from `rng`, so seeded runs
+    /// are reproducible. For the thread-count-independent parallel
+    /// runner see [`crate::engine::run_parallel`].
+    pub fn run<I: RunInput + ?Sized, R: Rng + ?Sized>(
+        input: &I,
         n: usize,
         params: &Params,
         rng: &mut R,
     ) -> Result<FprasRun, FprasError> {
-        run_with_policy(nfa, n, params, &mut Serial::new(rng))
-    }
-
-    /// Runs the FPRAS on an nROBP with the [`Serial`] policy. The word
-    /// length is the program's intrinsic depth (`robp.depth()`); see
-    /// DESIGN.md D14 — the same engine runs on any [`crate::engine::LeveledSubstrate`].
-    pub fn run_robp<R: Rng + ?Sized>(
-        robp: &Robp,
-        params: &Params,
-        rng: &mut R,
-    ) -> Result<FprasRun, FprasError> {
-        run_robp_with_policy(robp, params, &mut Serial::new(rng))
+        run_with_policy(input, n, params, &mut Serial::new(rng))
     }
 
     /// The estimate for `|L(A_n)|`.
@@ -133,8 +122,10 @@ impl FprasRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::run_parallel;
     use fpras_automata::exact::count_exact;
-    use fpras_automata::{Alphabet, NfaBuilder};
+    use fpras_automata::robp::Robp;
+    use fpras_automata::{Alphabet, Nfa, NfaBuilder};
     use rand::{rngs::SmallRng, SeedableRng};
 
     fn all_words() -> Nfa {
@@ -330,7 +321,7 @@ mod tests {
         let exact = count_exact(&nfa, n).unwrap().to_u64().unwrap();
         let params = Params::practical(0.3, 0.1, robp.num_nodes(), n);
         let mut rng = SmallRng::seed_from_u64(12);
-        let run = FprasRun::run_robp(&robp, &params, &mut rng).unwrap();
+        let run = FprasRun::run(&robp, n, &params, &mut rng).unwrap();
         assert_eq!(run.n(), n);
         let err = rel_err(run.estimate(), exact);
         assert!(err < 0.3, "relative error {err} (exact {exact}, est {})", run.estimate());
@@ -350,7 +341,7 @@ mod tests {
         let robp = b.build().unwrap();
         let params = Params::practical(0.3, 0.1, 3, 2);
         let mut rng = SmallRng::seed_from_u64(1);
-        let run = FprasRun::run_robp(&robp, &params, &mut rng).unwrap();
+        let run = FprasRun::run(&robp, 2, &params, &mut rng).unwrap();
         assert!(run.estimate().is_zero());
         assert!(run.slice_estimates().is_none());
     }
@@ -362,7 +353,7 @@ mod tests {
         let robp = Robp::from_nfa(&nfa, n).unwrap();
         let params = Params::practical(0.3, 0.1, robp.num_nodes(), n);
         let mut rng = SmallRng::seed_from_u64(3);
-        let run = FprasRun::run_robp(&robp, &params, &mut rng).unwrap();
+        let run = FprasRun::run(&robp, n, &params, &mut rng).unwrap();
         let mut gen = crate::UniformGenerator::new(run);
         let words = gen.generate_many(&mut rng, 100);
         assert!(!words.is_empty());
@@ -380,9 +371,22 @@ mod tests {
         let params = Params::practical(0.3, 0.1, robp.num_nodes(), 4);
         let mut rng = SmallRng::seed_from_u64(1);
         assert!(matches!(
-            FprasRun::run_robp(&robp, &params, &mut rng),
+            FprasRun::run(&robp, 6, &params, &mut rng),
             Err(FprasError::InvalidParams(_))
         ));
+        // A length past the depth is refused even when the params admit
+        // it, on both policies, before any level view is indexed at it.
+        let params = Params::practical(0.3, 0.1, robp.num_nodes(), 9);
+        for n in [7, 9] {
+            assert!(matches!(
+                FprasRun::run(&robp, n, &params, &mut rng),
+                Err(FprasError::InvalidParams(_))
+            ));
+            assert!(matches!(
+                run_parallel(&robp, n, &params, 1, 2),
+                Err(FprasError::InvalidParams(_))
+            ));
+        }
     }
 
     #[test]

@@ -76,9 +76,7 @@ use crate::run_stats::RunStats;
 use crate::sample_set::{SampleEntry, SampleSet};
 use crate::sampler::{sample_word, SamplerEnv, SamplerScratch};
 use crate::table::{BuildKeyHasher, MemoKey, RunTable, SampleOutcome};
-use fpras_automata::ops::{trim, with_single_accepting};
-use fpras_automata::robp::Robp;
-use fpras_automata::{Nfa, StateId, StateSet};
+use fpras_automata::{StateId, StateSet};
 use fpras_numeric::ExtFloat;
 use rand::{rngs::SmallRng, Rng, RngExt};
 use std::collections::HashSet;
@@ -89,7 +87,8 @@ pub(crate) use checkpoint::Checkpoint;
 pub use memo::{MemoEntry, MemoTier, UnionMemo};
 pub use policy::{Deterministic, ExecutionPolicy, Serial};
 pub use pool::{Pool, MAX_THREADS};
-pub use substrate::{LeveledSubstrate, NfaSubstrate, RobpSubstrate};
+pub(crate) use substrate::check_servable;
+pub use substrate::{LeveledSubstrate, NfaSubstrate, RobpSubstrate, RunInput};
 
 /// Immutable per-run context handed to policies and cell computations.
 pub struct EngineCtx<'a> {
@@ -556,20 +555,6 @@ fn run_level<P: ExecutionPolicy>(
     Ok(())
 }
 
-/// Normalizes an automaton for the DP (DESIGN.md D7): trims to useful
-/// states and folds the accepting states into one. Returns `None` when
-/// trimming leaves nothing (the language is empty at every length > 0).
-/// Shared by fresh runs and sessions so both run the DP on the same
-/// automaton.
-pub(crate) fn normalize_for_run(nfa: &Nfa) -> Option<(Nfa, StateId)> {
-    let trimmed = trim(nfa)?;
-    let normalized = with_single_accepting(&trimmed);
-    let q_final =
-        normalized.accepting().iter().next().expect("normalized automaton has an accepting state")
-            as StateId;
-    Some((normalized, q_final))
-}
-
 /// Writes level 0 of the DP (Algorithm 3 lines 6–10):
 /// `N(I⁰) = 1, S(I⁰) = (λ, λ, …)`, for every substrate (the source cell
 /// is always the sole level-0 seed).
@@ -584,13 +569,23 @@ fn seed_level_zero(table: &mut RunTable, substrate: &dyn LeveledSubstrate, param
     );
 }
 
-/// Runs the FPRAS on `nfa` for words of length `n` under `policy`.
+/// Runs the FPRAS on `input` for words of length `n` under `policy`.
 ///
 /// This is the single entry point behind [`FprasRun::run`] (Serial
 /// policy) and [`run_parallel`] (Deterministic policy); direct callers
-/// can plug any [`ExecutionPolicy`].
-pub fn run_with_policy<P: ExecutionPolicy>(
-    nfa: &Nfa,
+/// can plug any [`ExecutionPolicy`]. `input` is any [`RunInput`]: an
+/// [`Nfa`](fpras_automata::Nfa) or an nROBP
+/// ([`Robp`](fpras_automata::robp::Robp), whose depth bounds `n`).
+///
+/// `n = 0` is answered from [`RunInput::accepts_lambda`] (the DP is
+/// about positive-length words), and an empty slice returns zero. Both
+/// return before the policy is touched, so the Serial caller RNG is left
+/// exactly where it was. Otherwise the run is `Checkpoint::open` plus
+/// `Checkpoint::extend` to `n`. The views are built at horizon `n` up
+/// front, so the `trim_dead` alive sets are final before the first
+/// level.
+pub fn run_with_policy<I: RunInput + ?Sized, P: ExecutionPolicy>(
+    input: &I,
     n: usize,
     params: &Params,
     policy: &mut P,
@@ -598,57 +593,18 @@ pub fn run_with_policy<P: ExecutionPolicy>(
     let start = Instant::now();
     params.validate()?;
     params.check_length(n)?;
-    // n = 0 is answered directly (the DP is about positive-length
-    // words); otherwise normalize: trim, then fold accepting states
-    // (DESIGN.md D7). The views are built at horizon n up front, so the
-    // `trim_dead` alive sets are final before the first level.
-    let substrate = (n > 0)
-        .then(|| normalize_for_run(nfa))
-        .flatten()
-        .map(|(normalized, q_final)| NfaSubstrate::new(normalized, q_final, n))
-        .filter(NfaSubstrate::language_nonempty);
-    run_fresh(substrate, n, params, policy, nfa.is_accepting(nfa.initial()), start)
-}
-
-/// Runs the FPRAS over an nROBP under `policy`, estimating the number
-/// of accepted assignments (length-`depth` words over the program's
-/// alphabet). The run length is the program's intrinsic depth; the
-/// degenerate cases (no accepting node reachable) short-circuit exactly
-/// like an empty NFA slice.
-pub fn run_robp_with_policy<P: ExecutionPolicy>(
-    robp: &Robp,
-    params: &Params,
-    policy: &mut P,
-) -> Result<FprasRun, FprasError> {
-    let start = Instant::now();
-    params.validate()?;
-    params.check_length(robp.depth())?;
-    let substrate = Some(RobpSubstrate::new(robp)).filter(RobpSubstrate::language_nonempty);
-    run_fresh(substrate, robp.depth(), params, policy, false, start)
-}
-
-/// The substrate-generic fresh run: [`Checkpoint::open`] plus
-/// [`Checkpoint::extend`] to `n`. `None` is a degenerate run (`n = 0`,
-/// or an empty slice), answered without touching the policy — so the
-/// Serial caller RNG is left exactly where it was.
-fn run_fresh<S: LeveledSubstrate + 'static, P: ExecutionPolicy>(
-    substrate: Option<S>,
-    n: usize,
-    params: &Params,
-    policy: &mut P,
-    accepts_lambda: bool,
-    start: Instant,
-) -> Result<FprasRun, FprasError> {
+    check_servable(input, n)?;
+    let substrate = (n > 0).then(|| input.substrate(n)).flatten().filter(|s| s.slice_nonempty(n));
     let mut stats = RunStats::default();
     let (inner, estimate, accepts_lambda) = match substrate {
         Some(substrate) => {
-            let mut run = Checkpoint::open(Box::new(substrate), params, policy);
+            let mut run = Checkpoint::open(substrate, params, policy);
             run.extend(n, params, policy, &mut stats)?;
             let estimate = run.estimate(n);
-            (Some(run), estimate, accepts_lambda)
+            (Some(run), estimate, input.accepts_lambda())
         }
         None => {
-            let lambda = n == 0 && accepts_lambda;
+            let lambda = n == 0 && input.accepts_lambda();
             (None, if lambda { ExtFloat::ONE } else { ExtFloat::ZERO }, lambda)
         }
     };
@@ -656,18 +612,6 @@ fn run_fresh<S: LeveledSubstrate + 'static, P: ExecutionPolicy>(
     stats.wall = start.elapsed();
     stats.wall_max = stats.wall;
     Ok(FprasRun { inner, n, estimate, params: params.clone(), stats, accepts_lambda })
-}
-
-/// [`run_robp_with_policy`] with the [`Deterministic`] policy — the
-/// nROBP counterpart of [`run_parallel`], bit-identical for every
-/// `threads ≥ 1`.
-pub fn run_robp_parallel(
-    robp: &Robp,
-    params: &Params,
-    master_seed: u64,
-    threads: usize,
-) -> Result<FprasRun, FprasError> {
-    run_robp_with_policy(robp, params, &mut Deterministic::new(master_seed, threads))
 }
 
 /// Runs the FPRAS with level-synchronous parallelism over states.
@@ -694,21 +638,21 @@ pub fn run_robp_parallel(
 /// let eight = run_parallel(&nfa, 8, &params, 7, 8).unwrap();
 /// assert_eq!(two.estimate().to_f64(), eight.estimate().to_f64());
 /// ```
-pub fn run_parallel(
-    nfa: &Nfa,
+pub fn run_parallel<I: RunInput + ?Sized>(
+    input: &I,
     n: usize,
     params: &Params,
     master_seed: u64,
     threads: usize,
 ) -> Result<FprasRun, FprasError> {
-    run_with_policy(nfa, n, params, &mut Deterministic::new(master_seed, threads))
+    run_with_policy(input, n, params, &mut Deterministic::new(master_seed, threads))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::UniformGenerator;
-    use fpras_automata::{Alphabet, NfaBuilder};
+    use fpras_automata::{Alphabet, Nfa, NfaBuilder};
     use rand::{rngs::SmallRng, SeedableRng};
 
     fn contains_11() -> Nfa {

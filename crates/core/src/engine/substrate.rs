@@ -26,7 +26,11 @@
 //! the `∩ reachable(ℓ-1)` intersection itself, exactly where it always
 //! did, so set contents and op accounting are unchanged.
 
-use fpras_automata::{Nfa, StateSet, StepMasks, Unrolling, Word};
+use crate::error::FprasError;
+use crate::table::splitmix64;
+use fpras_automata::ops::{trim, with_single_accepting};
+use fpras_automata::robp::Robp;
+use fpras_automata::{Nfa, StateId, StateSet, StepMasks, Unrolling, Word};
 
 /// A leveled DAG the engine can count and sample over.
 ///
@@ -92,6 +96,136 @@ pub trait LeveledSubstrate: Send + Sync {
     /// Cells reachable from the source via `word` — the membership
     /// oracle's per-word value (§4.3).
     fn reach(&self, word: &Word) -> StateSet;
+
+    /// True iff the final cell is reachable at `level` (`L_level ≠ ∅`).
+    fn slice_nonempty(&self, level: usize) -> bool {
+        self.reachable(level).contains(self.final_cell() as usize)
+    }
+}
+
+/// What a caller counts over: the front-end behind every run entry
+/// point (`engine::run_with_policy`, `FprasRun::run`,
+/// `QuerySession::new`, `SessionKey::new` and the registry lookups).
+///
+/// It owns the only choices that differ per substrate; everything after
+/// it — the checkpointed run, sessions, the cache — is generic. A new
+/// substrate implements this trait and [`LeveledSubstrate`], and no
+/// entry point changes.
+pub trait RunInput {
+    /// The normalized substrate with views covering levels
+    /// `0..=horizon`, or `None` when the language is empty at every
+    /// positive length.
+    fn substrate(&self, horizon: usize) -> Option<Box<dyn LeveledSubstrate>>;
+
+    /// True iff the empty word is accepted (length 0 is answered from
+    /// this, never by the DP).
+    fn accepts_lambda(&self) -> bool;
+
+    /// The longest length a run or session over this input can serve.
+    fn max_len(&self) -> usize;
+
+    /// A 64-bit fingerprint of the input's exact structure: the
+    /// substrate part of a session cache key. Each implementation seeds
+    /// its hash with its own constant, so two substrates never alias one
+    /// key even when their graphs coincide edge for edge.
+    fn fingerprint(&self) -> u64;
+}
+
+/// Refuses a length past the input's [`RunInput::max_len`] before any
+/// substrate view is indexed at it.
+pub(crate) fn check_servable<I: RunInput + ?Sized>(input: &I, n: usize) -> Result<(), FprasError> {
+    if n > input.max_len() {
+        return Err(FprasError::InvalidParams(format!(
+            "length {n} exceeds {}, the longest length this input can serve (an nROBP reads \
+             each variable once, so its depth bounds every run)",
+            input.max_len()
+        )));
+    }
+    Ok(())
+}
+
+/// An NFA is normalized for the DP (DESIGN.md D7): trimmed to useful
+/// states, accepting states folded into one. Unbounded in length.
+impl RunInput for Nfa {
+    fn substrate(&self, horizon: usize) -> Option<Box<dyn LeveledSubstrate>> {
+        let trimmed = trim(self)?;
+        let normalized = with_single_accepting(&trimmed);
+        let q_final = normalized
+            .accepting()
+            .iter()
+            .next()
+            .expect("normalized automaton has an accepting state") as StateId;
+        Some(Box::new(NfaSubstrate::new(normalized, q_final, horizon)))
+    }
+
+    fn accepts_lambda(&self) -> bool {
+        self.is_accepting(self.initial())
+    }
+
+    fn max_len(&self) -> usize {
+        usize::MAX
+    }
+
+    /// Hashes alphabet size, states, initial/accepting sets and the full
+    /// transition list. Isomorphic-but-relabelled automata hash
+    /// differently, which is the right granularity for a session cache
+    /// (a relabelled automaton would produce a differently-normalized
+    /// run anyway).
+    fn fingerprint(&self) -> u64 {
+        let mut acc: u64 = 0x0F0A_F1D0;
+        let mut mix = |v: u64| {
+            acc = splitmix64(acc ^ splitmix64(v));
+        };
+        mix(self.alphabet().size() as u64);
+        mix(self.num_states() as u64);
+        mix(self.initial() as u64);
+        for q in self.accepting().iter() {
+            mix(q as u64 + 1);
+        }
+        mix(u64::MAX); // separator: accepting list vs transition list
+        for (from, sym, to) in self.transitions() {
+            mix(((from as u64) << 40) | ((sym as u64) << 32) | to as u64);
+        }
+        acc
+    }
+}
+
+/// An nROBP is already a leveled DAG. It reads each variable once, so
+/// its depth is the longest servable length; λ is never accepted
+/// (depth ≥ 1 by construction).
+impl RunInput for Robp {
+    fn substrate(&self, _horizon: usize) -> Option<Box<dyn LeveledSubstrate>> {
+        let substrate = RobpSubstrate::new(self);
+        substrate.slice_nonempty(self.depth()).then(|| Box::new(substrate) as _)
+    }
+
+    fn accepts_lambda(&self) -> bool {
+        false
+    }
+
+    fn max_len(&self) -> usize {
+        self.depth()
+    }
+
+    /// Hashes the header (alphabet size, nodes, depth, source, sink) and
+    /// the edge list, from a seed one above the NFA's.
+    fn fingerprint(&self) -> u64 {
+        let mut acc: u64 = 0x0F0A_F1D1;
+        let mut mix = |v: u64| {
+            acc = splitmix64(acc ^ splitmix64(v));
+        };
+        let graph = self.graph();
+        mix(graph.alphabet().size() as u64);
+        mix(self.num_nodes() as u64);
+        mix(self.depth() as u64);
+        mix(self.source() as u64);
+        mix(self.sink() as u64);
+        mix(u64::MAX); // separator: header vs edge list
+        for (from, sym, to) in graph.transitions() {
+            mix(((from as u64) << 40) | ((sym as u64) << 32) | to as u64);
+        }
+        acc
+    }
 }
 
 /// The original substrate: a normalized NFA (trimmed, single accepting
@@ -105,17 +239,12 @@ pub struct NfaSubstrate {
 }
 
 impl NfaSubstrate {
-    /// Wraps a *normalized* automaton (see `engine::normalize_for_run`)
+    /// Wraps a *normalized* automaton (see [`RunInput::substrate`])
     /// with views covering levels `0..=n`.
     pub fn new(nfa: Nfa, q_final: u32, n: usize) -> Self {
         let unroll = Unrolling::new(&nfa, n);
         let masks = StepMasks::new(&nfa);
         NfaSubstrate { nfa, unroll, masks, q_final }
-    }
-
-    /// True iff `L(A_n)` is non-empty at the current horizon.
-    pub fn language_nonempty(&self) -> bool {
-        self.unroll.language_nonempty()
     }
 }
 
@@ -200,7 +329,7 @@ pub struct RobpSubstrate {
 
 impl RobpSubstrate {
     /// Builds the substrate views of one program.
-    pub fn new(robp: &fpras_automata::robp::Robp) -> Self {
+    pub fn new(robp: &Robp) -> Self {
         let graph = robp.to_nfa();
         let masks = StepMasks::new(&graph);
         let m = graph.num_states();
@@ -240,11 +369,6 @@ impl RobpSubstrate {
     /// The program's intrinsic level count.
     pub fn depth(&self) -> usize {
         self.depth
-    }
-
-    /// True iff the program accepts at least one assignment.
-    pub fn language_nonempty(&self) -> bool {
-        self.reach_sets[self.depth].contains(self.sink as usize)
     }
 }
 

@@ -79,9 +79,9 @@ pub mod table;
 pub use appunion::{app_union, frontier_inputs, UnionEstimate, UnionScratch, UnionSetInput};
 pub use counter::FprasRun;
 pub use engine::{
-    run_parallel, run_robp_parallel, run_robp_with_policy, run_with_policy, Deterministic,
-    ExecutionPolicy, FrontierGroup, LevelPlan, LeveledSubstrate, MemoEntry, MemoTier, NfaSubstrate,
-    Pool, RobpSubstrate, Serial, UnionMemo, MAX_THREADS,
+    run_parallel, run_with_policy, Deterministic, ExecutionPolicy, FrontierGroup, LevelPlan,
+    LeveledSubstrate, MemoEntry, MemoTier, NfaSubstrate, Pool, RobpSubstrate, RunInput, Serial,
+    UnionMemo, MAX_THREADS,
 };
 pub use error::FprasError;
 pub use generator::UniformGenerator;
@@ -94,8 +94,8 @@ pub use params::{CursorPolicy, Params, Profile};
 pub use run_stats::{BatchStats, MemoStats, PoolStats, RunStats, ShareStats};
 pub use sample_set::{SampleEntry, SampleSet};
 pub use service::{
-    nfa_fingerprint, robp_fingerprint, AdmissionController, QuerySession, QuotaConfig, QuotaDenied,
-    QuotaStats, ServiceRegistry, ServiceStats, SessionPolicy, SessionStats,
+    AdmissionController, QuerySession, QuotaConfig, QuotaDenied, QuotaStats, ServiceRegistry,
+    ServiceStats, SessionPolicy, SessionStats,
 };
 pub use table::SampleOutcome;
 

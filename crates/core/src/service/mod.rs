@@ -16,8 +16,8 @@
 //!   per-run sampler seed. `estimate(n)` / `estimate_range(a..=b)` /
 //!   `sample(n)` answer from finished levels when they can and extend
 //!   the run when they must.
-//! * [`ServiceRegistry`] — an LRU cache of sessions keyed by automaton
-//!   fingerprint × [`Params::fingerprint`](crate::Params::fingerprint) × [`SessionPolicy`], so a
+//! * [`ServiceRegistry`] — an LRU cache of sessions keyed by input
+//!   fingerprint ([`RunInput::fingerprint`](crate::engine::RunInput::fingerprint)) × [`Params::fingerprint`](crate::Params::fingerprint) × [`SessionPolicy`], so a
 //!   stream of mixed-automaton queries turns into session cache hits.
 //! * [`protocol`] — the `nfa-count serve` line protocol: a typed
 //!   [`Request`](protocol::Request) and a [`Server`](protocol::Server)
@@ -56,7 +56,7 @@ mod registry;
 mod session;
 
 pub use quota::{AdmissionController, QuotaConfig, QuotaDenied, QuotaStats};
-pub use registry::{nfa_fingerprint, robp_fingerprint, ServiceRegistry, ServiceStats, SessionKey};
+pub use registry::{ServiceRegistry, ServiceStats, SessionKey};
 pub use session::{QuerySession, SessionStats};
 
 /// How a [`QuerySession`] executes and seeds its engine run.

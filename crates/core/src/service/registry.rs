@@ -1,73 +1,18 @@
 //! LRU session cache: mixed-automaton query streams become cache hits.
 
-use crate::engine::Pool;
+use crate::engine::{Pool, RunInput};
 use crate::error::FprasError;
 use crate::params::Params;
 use crate::service::session::{QuerySession, SessionStats};
 use crate::service::SessionPolicy;
-use crate::table::splitmix64;
-use fpras_automata::robp::Robp;
-use fpras_automata::Nfa;
 use std::sync::Arc;
-
-/// A 64-bit fingerprint of an automaton's exact structure (alphabet
-/// size, states, initial/accepting sets, and the full transition list).
-///
-/// Two automata collide only when they are structurally identical as
-/// built — isomorphic-but-relabelled automata hash differently, which
-/// is the right granularity for a session cache (a relabelled automaton
-/// would produce a differently-normalized run anyway).
-pub fn nfa_fingerprint(nfa: &Nfa) -> u64 {
-    let mut acc: u64 = 0x0F0A_F1D0;
-    let mut mix = |v: u64| {
-        acc = splitmix64(acc ^ splitmix64(v));
-    };
-    mix(nfa.alphabet().size() as u64);
-    mix(nfa.num_states() as u64);
-    mix(nfa.initial() as u64);
-    for q in nfa.accepting().iter() {
-        mix(q as u64 + 1);
-    }
-    mix(u64::MAX); // separator: accepting list vs transition list
-    for (from, sym, to) in nfa.transitions() {
-        mix(((from as u64) << 40) | ((sym as u64) << 32) | to as u64);
-    }
-    acc
-}
-
-/// A 64-bit fingerprint of an nROBP's exact structure — the
-/// [`nfa_fingerprint`] counterpart for the other substrate (D14).
-///
-/// Seeded with a *different* initial constant than the NFA fingerprint,
-/// so a program and an automaton can never alias one [`SessionKey`]
-/// slot even when their node graphs coincide edge-for-edge (the engine
-/// runs them over different substrates, so their sessions must stay
-/// distinct).
-pub fn robp_fingerprint(robp: &Robp) -> u64 {
-    let mut acc: u64 = 0x0F0A_F1D1;
-    let mut mix = |v: u64| {
-        acc = splitmix64(acc ^ splitmix64(v));
-    };
-    let graph = robp.graph();
-    mix(graph.alphabet().size() as u64);
-    mix(robp.num_nodes() as u64);
-    mix(robp.depth() as u64);
-    mix(robp.source() as u64);
-    mix(robp.sink() as u64);
-    mix(u64::MAX); // separator: header vs edge list
-    for (from, sym, to) in graph.transitions() {
-        mix(((from as u64) << 40) | ((sym as u64) << 32) | to as u64);
-    }
-    acc
-}
 
 /// The cache key of one session: substrate × parameters × policy.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SessionKey {
-    /// Fingerprint of the substrate input — [`nfa_fingerprint`] for
-    /// automata, [`robp_fingerprint`] for programs. The two use
-    /// disjoint seed constants, so the substrates partition the key
-    /// space.
+    /// [`RunInput::fingerprint`] of the substrate input. Each substrate
+    /// seeds its hash with its own constant, so the substrates partition
+    /// the key space.
     pub substrate: u64,
     /// [`Params::fingerprint`] of the parameters.
     pub params: u64,
@@ -76,24 +21,13 @@ pub struct SessionKey {
 }
 
 impl SessionKey {
-    /// Fingerprints `(nfa, params, policy)` into a cache key. Hashing
-    /// walks the automaton's full transition list — `O(m + |Δ|)` — so
-    /// high-QPS callers should compute the key once per automaton and
+    /// Fingerprints `(input, params, policy)` into a cache key. Hashing
+    /// walks the input's full transition or edge list — `O(m + |Δ|)` —
+    /// so high-QPS callers should compute the key once per input and
     /// use [`ServiceRegistry::session_with_key`] on the hot path.
-    pub fn new(nfa: &Nfa, params: &Params, policy: &SessionPolicy) -> Self {
+    pub fn new<I: RunInput + ?Sized>(input: &I, params: &Params, policy: &SessionPolicy) -> Self {
         SessionKey {
-            substrate: nfa_fingerprint(nfa),
-            params: params.fingerprint(),
-            policy: policy.normalized(),
-        }
-    }
-
-    /// Fingerprints `(robp, params, policy)` — [`SessionKey::new`] for
-    /// the nROBP substrate. Same cost profile: hashing walks the edge
-    /// list, so precompute the key for high-QPS streams.
-    pub fn for_robp(robp: &Robp, params: &Params, policy: &SessionPolicy) -> Self {
-        SessionKey {
-            substrate: robp_fingerprint(robp),
+            substrate: input.fingerprint(),
             params: params.fingerprint(),
             policy: policy.normalized(),
         }
@@ -114,9 +48,10 @@ pub struct ServiceStats {
     /// compile (a budget abort must not brick its cache key forever).
     pub sessions_recycled: u64,
     /// Shared work-stealing pools compiled (one per distinct thread
-    /// count, however many Deterministic sessions multiplex onto them —
-    /// D13's "single worker set" evidence is this staying at 1 while
-    /// `sessions_created` climbs).
+    /// count among the cached sessions, however many Deterministic
+    /// sessions multiplex onto it — D13's "single worker set" evidence
+    /// is this staying at 1 while `sessions_created` climbs). A count
+    /// whose sessions were all evicted gets a new pool on its next use.
     pub pools_created: u64,
     /// OS worker threads spawned across every shared pool (`threads-1`
     /// per pool; the caller doubles as worker 0).
@@ -164,7 +99,9 @@ pub struct ServiceRegistry {
     /// session the registry compiles multiplexes onto the one pool for
     /// its thread count instead of spawning a private worker fleet, so
     /// idle sessions pin zero threads (D13). Scheduling is invisible to
-    /// output (D10), so sharing cannot perturb any served value.
+    /// output (D10), so sharing cannot perturb any served value. A pool
+    /// lives only while a cached session holds it, so at most `capacity`
+    /// pools (and their parked workers) are alive at once.
     pools: Vec<(usize, Arc<Pool>)>,
 }
 
@@ -218,38 +155,40 @@ impl ServiceRegistry {
         total
     }
 
-    /// Routes to the session for `(nfa, params, policy)`, compiling it
+    /// Routes to the session for `(input, params, policy)`, compiling it
     /// on a miss (and evicting the least-recently-used session when the
     /// registry is full). Construction errors (invalid params,
-    /// `trim_dead`) propagate without disturbing the cache.
+    /// `trim_dead`) propagate without disturbing the cache. Automata and
+    /// nROBPs share one LRU (capacity, eviction, stats), and their
+    /// fingerprints never alias a slot.
     ///
-    /// Fingerprints the automaton on every call (`O(m + |Δ|)`);
-    /// high-QPS callers should build the [`SessionKey`] once per
-    /// automaton and use [`ServiceRegistry::session_with_key`].
-    pub fn session(
+    /// Fingerprints the input on every call (`O(m + |Δ|)`); high-QPS
+    /// callers should build the [`SessionKey`] once per input and use
+    /// [`ServiceRegistry::session_with_key`].
+    pub fn session<I: RunInput + ?Sized>(
         &mut self,
-        nfa: &Nfa,
+        input: &I,
         params: &Params,
         policy: &SessionPolicy,
     ) -> Result<&mut QuerySession, FprasError> {
-        self.session_with_key(SessionKey::new(nfa, params, policy), nfa, params, policy)
+        self.session_with_key(SessionKey::new(input, params, policy), input, params, policy)
     }
 
     /// [`ServiceRegistry::session`] with a caller-precomputed key — the
     /// hot lookup path: a repeat query for an already-built length then
     /// costs O(live sessions) key comparisons plus an O(1) table read,
-    /// with no re-hashing of the automaton. The caller is responsible
-    /// for the key actually fingerprinting `(nfa, params, policy)`
+    /// with no re-hashing of the input. The caller is responsible for
+    /// the key actually fingerprinting `(input, params, policy)`
     /// (compute it with [`SessionKey::new`]); a mismatched key aliases
     /// or duplicates cache entries but cannot corrupt a session.
-    pub fn session_with_key(
+    pub fn session_with_key<I: RunInput + ?Sized>(
         &mut self,
         key: SessionKey,
-        nfa: &Nfa,
+        input: &I,
         params: &Params,
         policy: &SessionPolicy,
     ) -> Result<&mut QuerySession, FprasError> {
-        self.session_with_key_recycled(key, nfa, params, policy).map(|(s, _)| s)
+        self.session_with_key_recycled(key, input, params, policy).map(|(s, _)| s)
     }
 
     /// [`ServiceRegistry::session_with_key`], additionally reporting
@@ -258,62 +197,17 @@ impl ServiceRegistry {
     /// budget-aborted one). Serving front-ends use the flag to surface
     /// one "session recycled" notice to the client without a second
     /// lookup or a re-borrow of the registry stats.
-    pub fn session_with_key_recycled(
+    ///
+    /// The LRU lookup itself: hit (refreshing recency), poisoned-drop,
+    /// or compile-on-miss, evicting the LRU slot at capacity. Afterwards
+    /// every shared pool no live session holds is dropped, so the
+    /// registry keeps at most one pool per live Deterministic session.
+    pub fn session_with_key_recycled<I: RunInput + ?Sized>(
         &mut self,
         key: SessionKey,
-        nfa: &Nfa,
+        input: &I,
         params: &Params,
         policy: &SessionPolicy,
-    ) -> Result<(&mut QuerySession, bool), FprasError> {
-        self.lookup_or_compile(
-            key,
-            policy,
-            |params, policy| QuerySession::new(nfa, params, policy),
-            params,
-        )
-    }
-
-    /// Routes to the session for `(robp, params, policy)` — the nROBP
-    /// substrate's [`ServiceRegistry::session`]. Programs and automata
-    /// share one LRU (capacity, eviction, stats): a mixed query stream
-    /// is served from a single cache, and the disjoint fingerprint
-    /// seeds guarantee the substrates can never alias a slot.
-    pub fn robp_session(
-        &mut self,
-        robp: &Robp,
-        params: &Params,
-        policy: &SessionPolicy,
-    ) -> Result<&mut QuerySession, FprasError> {
-        self.robp_session_with_key(SessionKey::for_robp(robp, params, policy), robp, params, policy)
-    }
-
-    /// [`ServiceRegistry::robp_session`] with a caller-precomputed key
-    /// (see [`ServiceRegistry::session_with_key`] for the contract).
-    pub fn robp_session_with_key(
-        &mut self,
-        key: SessionKey,
-        robp: &Robp,
-        params: &Params,
-        policy: &SessionPolicy,
-    ) -> Result<&mut QuerySession, FprasError> {
-        self.lookup_or_compile(
-            key,
-            policy,
-            |params, policy| QuerySession::new_robp(robp, params, policy),
-            params,
-        )
-        .map(|(s, _)| s)
-    }
-
-    /// The shared LRU lookup: hit (refreshing recency), poisoned-drop,
-    /// or compile-on-miss via `compile`, evicting the LRU slot at
-    /// capacity. Both substrates route through here.
-    fn lookup_or_compile(
-        &mut self,
-        key: SessionKey,
-        policy: &SessionPolicy,
-        compile: impl FnOnce(Params, SessionPolicy) -> Result<QuerySession, FprasError>,
-        params: &Params,
     ) -> Result<(&mut QuerySession, bool), FprasError> {
         self.clock += 1;
         let mut recycled_here = false;
@@ -332,7 +226,7 @@ impl ServiceRegistry {
                 return Ok((&mut self.slots[i].session, false));
             }
         }
-        let mut session = compile(params.clone(), policy.clone())?;
+        let mut session = QuerySession::new(input, params.clone(), policy.clone())?;
         if let SessionPolicy::Deterministic { threads, .. } = policy {
             let threads = (*threads).max(1);
             if threads > 1 {
@@ -350,6 +244,9 @@ impl ServiceRegistry {
             self.retired.merge(evicted.session.stats());
             self.stats.sessions_evicted += 1;
         }
+        // The registry's own handle is the last one: the pool's sessions
+        // were evicted or recycled. Dropping it joins its parked workers.
+        self.pools.retain(|(_, pool)| Arc::strong_count(pool) > 1);
         self.stats.sessions_created += 1;
         self.slots.push(Slot { key, session, last_used: self.clock });
         Ok((&mut self.slots.last_mut().expect("just pushed").session, recycled_here))
@@ -383,7 +280,8 @@ impl ServiceRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpras_automata::{Alphabet, NfaBuilder};
+    use fpras_automata::robp::Robp;
+    use fpras_automata::{Alphabet, Nfa, NfaBuilder};
 
     fn all_words() -> Nfa {
         let mut b = NfaBuilder::new(Alphabet::binary());
@@ -425,8 +323,8 @@ mod tests {
 
     #[test]
     fn fingerprints_distinguish_structures() {
-        assert_ne!(nfa_fingerprint(&all_words()), nfa_fingerprint(&ones_only()));
-        assert_eq!(nfa_fingerprint(&all_words()), nfa_fingerprint(&all_words()));
+        assert_ne!(all_words().fingerprint(), ones_only().fingerprint());
+        assert_eq!(all_words().fingerprint(), all_words().fingerprint());
         let p1 = Params::for_session(0.3, 0.1, 1, 8);
         let p2 = Params::for_session(0.3, 0.1, 1, 9);
         assert_ne!(p1.fingerprint(), p2.fingerprint());
@@ -438,12 +336,12 @@ mod tests {
 
     #[test]
     fn robp_fingerprints_partition_the_key_space() {
-        assert_eq!(robp_fingerprint(&small_robp(0)), robp_fingerprint(&small_robp(0)));
-        assert_ne!(robp_fingerprint(&small_robp(0)), robp_fingerprint(&small_robp(1)));
+        assert_eq!(small_robp(0).fingerprint(), small_robp(0).fingerprint());
+        assert_ne!(small_robp(0).fingerprint(), small_robp(1).fingerprint());
         // A program never aliases an automaton — even its own node
         // graph: the two fingerprints use disjoint seed constants.
         let robp = small_robp(0);
-        assert_ne!(robp_fingerprint(&robp), nfa_fingerprint(robp.graph()));
+        assert_ne!(robp.fingerprint(), robp.graph().fingerprint());
     }
 
     #[test]
@@ -452,9 +350,9 @@ mod tests {
         let robp = small_robp(0);
         let params = Params::for_session(0.4, 0.1, robp.num_nodes(), robp.depth());
         let policy = SessionPolicy::Serial { seed: 7 };
-        let e = registry.robp_session(&robp, &params, &policy).unwrap().estimate(2).unwrap();
+        let e = registry.session(&robp, &params, &policy).unwrap().estimate(2).unwrap();
         // Repeat query: a hit on the same slot, bit-identical answer.
-        let e2 = registry.robp_session(&robp, &params, &policy).unwrap().estimate(2).unwrap();
+        let e2 = registry.session(&robp, &params, &policy).unwrap().estimate(2).unwrap();
         assert_eq!(e, e2);
         assert_eq!(registry.stats().sessions_created, 1);
         assert_eq!(registry.stats().session_hits, 1);
@@ -465,7 +363,7 @@ mod tests {
         assert_eq!(registry.stats().sessions_created, 2);
         assert_eq!(registry.len(), 2);
         // And the registry answer matches a standalone session.
-        let fresh = QuerySession::new_robp(&robp, params, policy).unwrap().estimate(2).unwrap();
+        let fresh = QuerySession::new(&robp, params, policy).unwrap().estimate(2).unwrap();
         assert_eq!(e, fresh);
     }
 
@@ -578,6 +476,24 @@ mod tests {
         registry.session(&b, &params, &pol3).unwrap().estimate(4).unwrap();
         assert_eq!(registry.stats().pools_created, 2);
         assert_eq!(registry.stats().pool_workers_spawned, 3);
+    }
+
+    #[test]
+    fn pools_no_session_holds_are_freed() {
+        // Each miss evicts the one cached session, and with it the only
+        // hold on its pool: one pool stays alive, never one per thread
+        // count ever seen.
+        let mut registry = ServiceRegistry::new(1);
+        let nfa = all_words();
+        let params = Params::for_session(0.4, 0.1, 1, 4);
+        for threads in [2, 3, 4] {
+            let policy = SessionPolicy::Deterministic { seed: 1, threads };
+            registry.session(&nfa, &params, &policy).unwrap().estimate(2).unwrap();
+            assert_eq!(registry.pools.len(), 1, "threads = {threads}");
+            assert_eq!(registry.pools[0].0, threads);
+        }
+        assert_eq!(registry.stats().pools_created, 3);
+        assert_eq!(registry.stats().pool_workers_spawned, 6);
     }
 
     #[test]

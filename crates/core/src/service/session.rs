@@ -1,8 +1,7 @@
 //! A checkpointable engine run serving `(A, n)` queries incrementally.
 
 use crate::engine::{
-    normalize_for_run, Checkpoint, Deterministic, LeveledSubstrate, NfaSubstrate, Pool,
-    RobpSubstrate, Serial, MAX_THREADS,
+    check_servable, Checkpoint, Deterministic, Pool, RunInput, Serial, MAX_THREADS,
 };
 use crate::error::FprasError;
 use crate::generator::DEFAULT_RETRY_LIMIT;
@@ -10,8 +9,7 @@ use crate::obs::LatencyHistogram;
 use crate::params::Params;
 use crate::run_stats::RunStats;
 use crate::service::SessionPolicy;
-use fpras_automata::robp::Robp;
-use fpras_automata::{Nfa, Word};
+use fpras_automata::Word;
 use fpras_numeric::ExtFloat;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::sync::Arc;
@@ -144,56 +142,27 @@ pub struct QuerySession {
 }
 
 impl QuerySession {
-    /// Compiles `nfa` into a fresh session under `params` and `policy`.
+    /// Compiles `input` into a fresh session under `params` and `policy`.
     ///
-    /// Validates `params` ([`Params::validate`], the one shared checker),
-    /// rejects a Deterministic thread count above [`MAX_THREADS`] before
-    /// any worker exists, and rejects `trim_dead`: which cells level `ℓ`
-    /// processes must not depend on how far the run has been extended,
-    /// or resumed sessions could not be bit-identical to fresh runs.
-    pub fn new(nfa: &Nfa, params: Params, policy: SessionPolicy) -> Result<Self, FprasError> {
-        let substrate = normalize_for_run(nfa)
-            .map(|(normalized, q_final)| NfaSubstrate::new(normalized, q_final, 0));
-        Self::open(substrate, nfa.is_accepting(nfa.initial()), params, policy)
-    }
-
-    /// Compiles an nROBP into a fresh session: the identical
-    /// checkpointed run machinery over the [`RobpSubstrate`] leveled
-    /// DAG (DESIGN.md D14) — `estimate(n)` answers `|L(P)_n|`, which is
-    /// the assignment count at `n = depth` and zero at every other
-    /// length (a read-once program accepts only full assignments).
+    /// `input` is any [`RunInput`]: an NFA, or an nROBP, whose
+    /// `estimate(n)` is the assignment count at `n = depth` and zero at
+    /// every shorter length (a read-once program accepts only full
+    /// assignments). An input whose language is empty is served
+    /// degenerately: every positive-length estimate is zero.
     ///
-    /// Validation is [`QuerySession::new`]'s plus a depth guard: the
-    /// program reads each variable once, so its level views stop at
-    /// `robp.depth()` — `params.n_hint` must not exceed it, keeping
-    /// every admissible query length buildable. λ is never accepted
-    /// (depth ≥ 1 by construction); a program accepting no assignment
-    /// is served degenerately, like a fully-trimmed automaton.
-    pub fn new_robp(
-        robp: &Robp,
+    /// Refuses an `n_hint` past [`RunInput::max_len`] (an nROBP's depth),
+    /// so every admissible query length is buildable. Then validates
+    /// `params` ([`Params::validate`], the one shared checker), rejects a
+    /// Deterministic thread count above [`MAX_THREADS`] before any worker
+    /// exists, and rejects `trim_dead`: which cells level `ℓ` processes
+    /// must not depend on how far the run has been extended, or resumed
+    /// sessions could not be bit-identical to fresh runs.
+    pub fn new<I: RunInput + ?Sized>(
+        input: &I,
         params: Params,
         policy: SessionPolicy,
     ) -> Result<Self, FprasError> {
-        if params.n_hint > robp.depth() {
-            return Err(FprasError::InvalidParams(format!(
-                "session derivation length (n_hint = {}) exceeds the program depth {}: an nROBP \
-                 reads each variable once, so no longer query could ever be served",
-                params.n_hint,
-                robp.depth()
-            )));
-        }
-        let substrate = Some(RobpSubstrate::new(robp)).filter(RobpSubstrate::language_nonempty);
-        Self::open(substrate, false, params, policy)
-    }
-
-    /// The constructor behind both front-ends: validates `params`, then
-    /// opens the checkpoint over `substrate` (`None` = degenerate).
-    fn open<S: LeveledSubstrate + 'static>(
-        substrate: Option<S>,
-        accepts_lambda: bool,
-        params: Params,
-        policy: SessionPolicy,
-    ) -> Result<Self, FprasError> {
+        check_servable(input, params.n_hint)?;
         params.validate()?;
         if params.trim_dead {
             return Err(FprasError::InvalidParams(
@@ -224,22 +193,19 @@ impl QuerySession {
         // aligned. The Deterministic seed derivation is a pure function
         // of the master seed, so a single-threaded policy (which spawns
         // no workers) answers it.
-        let inner = substrate.map(|substrate| {
-            let substrate = Box::new(substrate);
-            match &mut policy_state {
-                PolicyState::Serial { rng } => {
-                    Checkpoint::open(substrate, &params, &mut Serial::new(rng))
-                }
-                PolicyState::Deterministic { seed, .. } => {
-                    Checkpoint::open(substrate, &params, &mut Deterministic::new(*seed, 1))
-                }
+        let inner = input.substrate(0).map(|substrate| match &mut policy_state {
+            PolicyState::Serial { rng } => {
+                Checkpoint::open(substrate, &params, &mut Serial::new(rng))
+            }
+            PolicyState::Deterministic { seed, .. } => {
+                Checkpoint::open(substrate, &params, &mut Deterministic::new(*seed, 1))
             }
         });
         Ok(QuerySession {
             params,
             policy_spec: policy,
             policy: policy_state,
-            accepts_lambda,
+            accepts_lambda: input.accepts_lambda(),
             inner,
             stats: SessionStats::default(),
             run_stats: RunStats::default(),
@@ -507,11 +473,12 @@ impl QuerySession {
 mod tests {
     use super::*;
     use crate::counter::FprasRun;
-    use crate::engine::{run_parallel, run_robp_parallel};
+    use crate::engine::run_parallel;
     use crate::generator::UniformGenerator;
     use crate::intern::InternStats;
     use fpras_automata::exact::count_exact;
-    use fpras_automata::{Alphabet, NfaBuilder};
+    use fpras_automata::robp::Robp;
+    use fpras_automata::{Alphabet, Nfa, NfaBuilder};
 
     /// The deterministic work counters of `stats`: everything except
     /// wall clock, phase attribution, pool scheduling, and the
@@ -764,16 +731,22 @@ mod tests {
         let robp = robp_contains_11();
         let params = Params::for_session(0.3, 0.1, robp.num_nodes(), 4);
         let mut session =
-            QuerySession::new_robp(&robp, params.clone(), SessionPolicy::Serial { seed: 9 })
-                .unwrap();
-        // Partial-depth query first: the later full-depth query resumes
-        // from the checkpoint and must still equal a fresh run.
-        assert!(session.estimate(2).unwrap().is_zero(), "no sink at level 2");
-        let got = session.estimate(4).unwrap();
+            QuerySession::new(&robp, params.clone(), SessionPolicy::Serial { seed: 9 }).unwrap();
+        // Partial-depth queries first: no sink below the depth, so a
+        // fresh run there is an empty slice, answered zero before the
+        // sampler seed is drawn (the full-depth run below reuses `rng`).
+        // The later full-depth query resumes from the checkpoint and
+        // must still equal a fresh run.
         let mut rng = SmallRng::seed_from_u64(9);
-        let fresh = FprasRun::run_robp(&robp, &params, &mut rng).unwrap();
+        for n in 1..4 {
+            let partial = FprasRun::run(&robp, n, &params, &mut rng).unwrap();
+            assert!(partial.estimate().is_zero(), "no sink at level {n}");
+            assert_eq!(session.estimate(n).unwrap(), partial.estimate());
+        }
+        let got = session.estimate(4).unwrap();
+        let fresh = FprasRun::run(&robp, 4, &params, &mut rng).unwrap();
         assert_eq!(got, fresh.estimate());
-        // Two extensions (1..=2, then 3..=4) do exactly one fresh run's work.
+        // Four extensions (one level each) do exactly one fresh run's work.
         assert_eq!(work(session.run_stats()), work(fresh.stats()));
         let exact = count_exact(&robp.to_nfa(), 4).unwrap().to_f64();
         assert!((got.to_f64() - exact).abs() / exact < 0.3);
@@ -814,11 +787,11 @@ mod tests {
                     },
                 ),
                 (
-                    QuerySession::new_robp(&robp, robp_params.clone(), policy.clone()).unwrap(),
+                    QuerySession::new(&robp, robp_params.clone(), policy.clone()).unwrap(),
                     if serial {
-                        FprasRun::run_robp(&robp, &robp_params, &mut SmallRng::seed_from_u64(7))
+                        FprasRun::run(&robp, n, &robp_params, &mut SmallRng::seed_from_u64(7))
                     } else {
-                        run_robp_parallel(&robp, &robp_params, 7, 2)
+                        run_parallel(&robp, n, &robp_params, 7, 2)
                     },
                 ),
             ];
@@ -841,14 +814,22 @@ mod tests {
     fn robp_session_rejects_horizons_beyond_depth() {
         let robp = robp_contains_11();
         // n_hint exceeding the program depth can never be served.
-        let params = Params::for_session(0.3, 0.1, robp.num_nodes(), 5);
-        let err = QuerySession::new_robp(&robp, params, SessionPolicy::Serial { seed: 1 });
-        assert!(matches!(err, Err(FprasError::InvalidParams(_))));
+        // Refused on both policies, before any level view is indexed.
+        for n_hint in [5, 9] {
+            let params = Params::for_session(0.3, 0.1, robp.num_nodes(), n_hint);
+            for policy in [
+                SessionPolicy::Serial { seed: 1 },
+                SessionPolicy::Deterministic { seed: 1, threads: 2 },
+            ] {
+                let err = QuerySession::new(&robp, params.clone(), policy);
+                assert!(matches!(err, Err(FprasError::InvalidParams(_))), "n_hint = {n_hint}");
+            }
+        }
         // At the depth itself, queries past n_hint are refused like any
         // session (and λ is never accepted).
         let params = Params::for_session(0.3, 0.1, robp.num_nodes(), 4);
         let mut session =
-            QuerySession::new_robp(&robp, params, SessionPolicy::Serial { seed: 1 }).unwrap();
+            QuerySession::new(&robp, params, SessionPolicy::Serial { seed: 1 }).unwrap();
         assert!(session.estimate(5).is_err());
         assert!(session.estimate(0).unwrap().is_zero());
     }
@@ -861,14 +842,17 @@ mod tests {
         let robp = robp_contains_11();
         let params = Params::for_session(0.3, 0.1, robp.num_nodes(), 4);
         for threads in [1usize, 2, 8] {
-            let mut session = QuerySession::new_robp(
+            let mut session = QuerySession::new(
                 &robp,
                 params.clone(),
                 SessionPolicy::Deterministic { seed: 4, threads },
             )
             .unwrap();
+            let partial = run_parallel(&robp, 2, &params, 4, threads).unwrap();
+            assert!(partial.estimate().is_zero());
+            assert_eq!(session.estimate(2).unwrap(), partial.estimate(), "threads = {threads}");
             let got = session.estimate(4).unwrap();
-            let fresh = crate::engine::run_robp_parallel(&robp, &params, 4, threads).unwrap();
+            let fresh = run_parallel(&robp, 4, &params, 4, threads).unwrap();
             assert_eq!(got, fresh.estimate(), "threads = {threads}");
         }
     }

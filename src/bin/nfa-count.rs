@@ -48,8 +48,7 @@ use fpras_core::service::protocol::{
 };
 use fpras_core::service::{QuerySession, QuotaConfig};
 use fpras_core::{
-    run_parallel, run_robp_parallel, FprasError, FprasRun, JsonlSink, Params, RunStats,
-    UniformGenerator, MAX_THREADS,
+    run_parallel, FprasError, FprasRun, JsonlSink, Params, RunStats, UniformGenerator, MAX_THREADS,
 };
 use fpras_numeric::{BigUint, ExtFloat};
 use rand::{rngs::SmallRng, SeedableRng};
@@ -638,9 +637,9 @@ fn robp_main(argv: &[String]) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let run = run_fpras("|L(P)|", &params, threads, stats, || {
         if threads == 0 {
-            FprasRun::run_robp(&robp, &params, &mut rng)
+            FprasRun::run(&robp, n, &params, &mut rng)
         } else {
-            run_robp_parallel(&robp, &params, seed, threads)
+            run_parallel(&robp, n, &params, seed, threads)
         }
     });
     if exact {

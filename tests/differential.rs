@@ -12,7 +12,7 @@ use fpras_automata::simulation::reduce;
 use fpras_automata::{Dfa, Nfa};
 use fpras_baselines::path_importance_sampling;
 use fpras_bdd::count_slice;
-use fpras_core::{run_parallel, run_robp_parallel, FprasRun, Params};
+use fpras_core::{run_parallel, FprasRun, Params};
 use fpras_workloads::{families, random_nfa, RandomNfaConfig};
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -64,8 +64,7 @@ fn check_instance(nfa: &fpras_automata::Nfa, n: usize, seed: u64, label: &str) {
     // but the same (ε, δ) contract against the same truth.
     let robp = robp.expect("non-empty slice encodes");
     let robp_params = Params::practical(0.4, 0.1, robp.num_nodes(), n);
-    let robp_est =
-        run_robp_parallel(&robp, &robp_params, seed, 4).expect("robp").estimate().to_f64();
+    let robp_est = run_parallel(&robp, n, &robp_params, seed, 4).expect("robp").estimate().to_f64();
     for (name, est) in [("serial", serial), ("parallel", parallel), ("robp", robp_est)] {
         let err = (est - exact).abs() / exact;
         assert!(err < 0.6, "{label}: {name} fpras err {err} (est {est}, exact {exact})");

@@ -23,7 +23,7 @@
 //! `estimate.to_f64().to_bits()` is an exact fingerprint.
 
 use fpras_automata::robp::Robp;
-use fpras_core::{run_parallel, run_robp_parallel, FprasRun, JsonlSink, Params};
+use fpras_core::{run_parallel, FprasRun, JsonlSink, Params};
 use fpras_workloads::{families, random_robp, RandomRobpConfig};
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -184,12 +184,12 @@ const GOLDEN_ROBP: &[(&str, u64, &str, u64)] = &[
 fn serial_robp_estimate(robp: &Robp, seed: u64) -> u64 {
     let params = Params::practical(0.3, 0.1, robp.num_nodes(), robp.depth());
     let mut rng = SmallRng::seed_from_u64(seed);
-    FprasRun::run_robp(robp, &params, &mut rng).unwrap().estimate().to_f64().to_bits()
+    FprasRun::run(robp, robp.depth(), &params, &mut rng).unwrap().estimate().to_f64().to_bits()
 }
 
 fn det_robp_estimate(robp: &Robp, seed: u64, threads: usize) -> u64 {
     let params = Params::practical(0.3, 0.1, robp.num_nodes(), robp.depth());
-    run_robp_parallel(robp, &params, seed, threads).unwrap().estimate().to_f64().to_bits()
+    run_parallel(robp, robp.depth(), &params, seed, threads).unwrap().estimate().to_f64().to_bits()
 }
 
 #[test]

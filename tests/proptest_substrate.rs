@@ -22,7 +22,7 @@
 use fpras_automata::exact::{brute_force_count, count_exact};
 use fpras_automata::robp::Robp;
 use fpras_bdd::count_slice;
-use fpras_core::{run_parallel, run_robp_parallel, FprasRun, Params, UniformGenerator};
+use fpras_core::{run_parallel, FprasRun, Params, UniformGenerator};
 use fpras_workloads::{random_nfa, random_robp, RandomNfaConfig, RandomRobpConfig};
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -76,9 +76,12 @@ fn random_robp_estimates_track_brute_force() {
         // the envelope; the estimate contract is policy-independent.
         let est = if case % 2 == 0 {
             let mut rng = SmallRng::seed_from_u64(5000 + case);
-            FprasRun::run_robp(&robp, &params, &mut rng).expect("run").estimate().to_f64()
+            FprasRun::run(&robp, robp.depth(), &params, &mut rng).expect("run").estimate().to_f64()
         } else {
-            run_robp_parallel(&robp, &params, 5000 + case, 2).expect("run").estimate().to_f64()
+            run_parallel(&robp, robp.depth(), &params, 5000 + case, 2)
+                .expect("run")
+                .estimate()
+                .to_f64()
         };
         let err = (est - exact).abs() / exact;
         if err > EPS {
@@ -134,7 +137,7 @@ fn robp_encoded_nfas_agree_with_every_counter() {
         let params_robp = Params::practical(0.4, 0.1, robp.num_nodes(), n);
         let nfa_est =
             run_parallel(&nfa, n, &params_nfa, 31 + case, 2).expect("nfa run").estimate().to_f64();
-        let robp_run = run_robp_parallel(&robp, &params_robp, 31 + case, 2).expect("robp run");
+        let robp_run = run_parallel(&robp, n, &params_robp, 31 + case, 2).expect("robp run");
         let robp_est = robp_run.estimate().to_f64();
         for (path, est) in [("nfa", nfa_est), ("robp", robp_est)] {
             let err = (est - exact).abs() / exact;

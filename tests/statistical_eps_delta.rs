@@ -19,7 +19,7 @@
 use fpras_automata::exact::count_exact;
 use fpras_automata::robp::Robp;
 use fpras_automata::Nfa;
-use fpras_core::{run_parallel, run_robp_parallel, FprasRun, Params};
+use fpras_core::{run_parallel, FprasRun, Params};
 use fpras_workloads::{families, random_robp, RandomRobpConfig};
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -143,10 +143,10 @@ type RobpEstimator = dyn Fn(&Robp, &Params, u64) -> f64;
 fn robp_estimator_paths() -> Vec<(&'static str, Box<RobpEstimator>)> {
     let serial = |robp: &Robp, params: &Params, seed: u64| {
         let mut rng = SmallRng::seed_from_u64(seed);
-        FprasRun::run_robp(robp, params, &mut rng).expect("run").estimate().to_f64()
+        FprasRun::run(robp, robp.depth(), params, &mut rng).expect("run").estimate().to_f64()
     };
     let deterministic = |robp: &Robp, params: &Params, seed: u64| {
-        run_robp_parallel(robp, params, seed, 4).expect("run").estimate().to_f64()
+        run_parallel(robp, robp.depth(), params, seed, 4).expect("run").estimate().to_f64()
     };
     vec![("robp-serial", Box::new(serial)), ("robp-deterministic", Box::new(deterministic))]
 }
