@@ -7,8 +7,8 @@
 //! allocation shows up as a step change.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fpras_automata::{StateSet, StepMasks, Word};
-use fpras_core::sample_set::{SampleEntry, SampleSet};
+use fpras_automata::{StateSet, StepMasks};
+use fpras_core::sample_set::SampleSet;
 use fpras_core::{app_union, FrontierInterner, Params, RunStats, UnionScratch, UnionSetInput};
 use fpras_numeric::ExtFloat;
 use fpras_workloads::{random_nfa, RandomNfaConfig};
@@ -115,10 +115,7 @@ fn bench_appunion_trials(c: &mut Criterion) {
             let mut s = SampleSet::empty();
             for _ in 0..2000 {
                 let w = rng.random_range(0..4096u64);
-                s.push(SampleEntry {
-                    word: Word::from_index(w, 12, 2),
-                    reach: StateSet::from_iter(k, [i, (i + w as usize) % k]),
-                });
+                s.push(&StateSet::from_iter(k, [i, (i + w as usize) % k]));
             }
             (s, 4096)
         })

@@ -6,8 +6,8 @@
 //! equal membership-operation budget.
 
 use crate::table::{fnum, Table};
-use fpras_automata::{StateSet, Word};
-use fpras_core::sample_set::{SampleEntry, SampleSet};
+use fpras_automata::StateSet;
+use fpras_core::sample_set::SampleSet;
 use fpras_core::{app_union, Params, RunStats, UnionScratch, UnionSetInput};
 use fpras_numeric::{stats, ExtFloat};
 use rand::{rngs::SmallRng, RngExt, SeedableRng};
@@ -39,10 +39,7 @@ fn build_family(k: usize, set_size: u64, overlap: f64, samples: usize, seed: u64
         let mut s = SampleSet::empty();
         for _ in 0..samples {
             let w = rng.random_range(lo..lo + set_size);
-            s.push(SampleEntry {
-                word: Word::from_index(w % (1 << 16), 16, 2),
-                reach: StateSet::from_iter(k, member_of(w)),
-            });
+            s.push(&StateSet::from_iter(k, member_of(w)));
         }
         sets.push((s, set_size));
     }
@@ -86,9 +83,9 @@ fn exhaustive_estimate(family: &Family) -> (f64, u64) {
     let mut prefix = StateSet::empty(k);
     for (i, (s, sz)) in family.sets.iter().enumerate() {
         let mut outside = 0usize;
-        for e in s.iter() {
+        for row in s.iter() {
             ops += 1;
-            if !e.reach.intersects(&prefix) {
+            if !prefix.intersects_words(row) {
                 outside += 1;
             }
         }

@@ -8,10 +8,11 @@
 //! the pair lies in `U_unique`. After `t` trials the output is
 //! `(Y/t)·Σ sz_i` (Theorem 1).
 //!
-//! The membership oracle is the stored reachable-state set of each
-//! sampled word (`σ ∈ T_j = L(p_jℓ)` iff `p_j ∈ reach(σ)`); the "does any
-//! earlier set contain σ" test of line 9 collapses to one bitset
-//! intersection against a precomputed prefix mask.
+//! The membership oracle is the stored reach row of each sample — the
+//! bitset of states its word reaches (`σ ∈ T_j = L(p_jℓ)` iff
+//! `p_j ∈ reach(σ)`); the word itself is not kept. The "does any earlier
+//! set contain σ" test of line 9 collapses to one intersection of that
+//! row against a precomputed prefix mask.
 
 use crate::params::{CursorPolicy, Params};
 use crate::run_stats::RunStats;
@@ -193,9 +194,10 @@ pub fn app_union<R: Rng + ?Sized>(
         }
         let idx = (cursors[i] + consumed[i]) % len;
         consumed[i] += 1;
-        let entry = list.get(idx);
+        let row = list.get(idx);
         stats.membership_ops += 1;
-        if !entry.reach.intersects_words(&prefix[i * stride..(i + 1) * stride]) {
+        let mask = &prefix[i * stride..(i + 1) * stride];
+        if !row.iter().zip(mask).any(|(r, p)| r & p != 0) {
             y += 1;
         }
         trials_run += 1;
@@ -210,13 +212,11 @@ pub fn app_union<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sample_set::SampleEntry;
-    use fpras_automata::Word;
     use rand::{rngs::SmallRng, SeedableRng};
 
     /// Builds a sample set for a synthetic `T_i ⊆ {0..universe_words}`:
-    /// `count` uniform samples from the listed words, where each word's
-    /// "reach set" marks which synthetic sets contain it.
+    /// `count` uniform samples from the listed words, each stored as a
+    /// reach row marking which synthetic sets contain it.
     fn synthetic_set(
         words_in_set: &[u64],
         membership: impl Fn(u64) -> Vec<usize>,
@@ -227,10 +227,7 @@ mod tests {
         let mut s = SampleSet::empty();
         for _ in 0..count {
             let w = words_in_set[rng.random_range(0..words_in_set.len())];
-            s.push(SampleEntry {
-                word: Word::from_index(w, 8, 2),
-                reach: StateSet::from_iter(universe, membership(w)),
-            });
+            s.push(&StateSet::from_iter(universe, membership(w)));
         }
         s
     }

@@ -73,7 +73,7 @@ use crate::error::FprasError;
 use crate::intern::FrontierInterner;
 use crate::params::Params;
 use crate::run_stats::RunStats;
-use crate::sample_set::{SampleEntry, SampleSet};
+use crate::sample_set::SampleSet;
 use crate::sampler::{sample_word, SamplerEnv, SamplerScratch};
 use crate::table::{BuildKeyHasher, MemoKey, RunTable, SampleOutcome};
 use fpras_automata::{StateId, StateSet};
@@ -245,8 +245,9 @@ pub fn assemble_count_cell<R: Rng + ?Sized>(
 }
 
 /// Sample pass for one `(q, ℓ)` cell (Algorithm 3 lines 20–30): draws up
-/// to `ns` words by Algorithm 2 within `xns` attempts, padding with the
-/// cell's witness word when short.
+/// to `ns` words by Algorithm 2 within `xns` attempts and stores each
+/// word's reach row, padding with the row of the cell's witness word
+/// when short.
 pub(crate) fn sample_cell<R: Rng + ?Sized>(
     ctx: &EngineCtx<'_>,
     table: &RunTable,
@@ -264,9 +265,10 @@ pub(crate) fn sample_cell<R: Rng + ?Sized>(
         sampler_seed: ctx.sampler_seed,
     };
     let mut stats = RunStats::default();
-    let mut collected: Vec<SampleEntry> = Vec::with_capacity(params.ns);
+    // At most `ns` rows: `ns` genuine, or fewer plus one padding row.
+    let mut samples = SampleSet::with_capacity(params.ns, ctx.m);
     let mut attempts = 0usize;
-    while collected.len() < params.ns && attempts < params.xns {
+    while samples.genuine_len() < params.ns && attempts < params.xns {
         attempts += 1;
         match sample_word(&env, table, memo, q, ell, rng, scratch, &mut stats) {
             SampleOutcome::Word(w) => {
@@ -275,22 +277,17 @@ pub(crate) fn sample_cell<R: Rng + ?Sized>(
                     reach.contains(q as usize),
                     "sampled word must reach its cell's state"
                 );
-                collected.push(SampleEntry { word: w, reach });
+                samples.push(&reach);
             }
             SampleOutcome::DeadEnd => break,
             SampleOutcome::FailPhi | SampleOutcome::FailCoin => {}
         }
     }
-    let genuine = collected.len();
-    let mut samples = SampleSet::empty();
-    for e in collected {
-        samples.push(e);
-    }
+    let genuine = samples.genuine_len();
     let padded = params.ns - genuine;
     if padded > 0 {
         let wit = ctx.substrate.witness(q, ell).expect("reachable cell must have a witness word");
-        let reach = ctx.substrate.reach(&wit);
-        samples.pad(SampleEntry { word: wit, reach }, padded);
+        samples.pad(&ctx.substrate.reach(&wit), padded);
     }
     SampleOut { q, samples, genuine, padded, stats }
 }
@@ -563,10 +560,7 @@ fn seed_level_zero(table: &mut RunTable, substrate: &dyn LeveledSubstrate, param
     let init = substrate.initial();
     let cell = table.cell_mut(0, init);
     cell.n_est = ExtFloat::ONE;
-    cell.samples = SampleSet::repeated(
-        SampleEntry { word: fpras_automata::Word::empty(), reach: StateSet::singleton(m, init) },
-        params.ns,
-    );
+    cell.samples = SampleSet::repeated(&StateSet::singleton(m, init), params.ns);
 }
 
 /// Runs the FPRAS on `input` for words of length `n` under `policy`.

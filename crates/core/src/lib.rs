@@ -92,7 +92,7 @@ pub use obs::{
 };
 pub use params::{CursorPolicy, Params, Profile};
 pub use run_stats::{BatchStats, MemoStats, PoolStats, RunStats, ShareStats};
-pub use sample_set::{SampleEntry, SampleSet};
+pub use sample_set::SampleSet;
 pub use service::{
     AdmissionController, QuerySession, QuotaConfig, QuotaDenied, QuotaStats, ServiceRegistry,
     ServiceStats, SessionPolicy, SessionStats,

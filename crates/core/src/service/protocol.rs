@@ -21,6 +21,7 @@ use fpras_automata::{parse, regex, Alphabet, Nfa};
 use fpras_numeric::ExtFloat;
 use rand::{rngs::SmallRng, SeedableRng};
 use std::fmt;
+use std::io::{self, BufRead, Read};
 
 /// Live sessions a server holds when `max_sessions` is unset (evicted
 /// sessions rebuild on demand — eviction is not rejection).
@@ -35,6 +36,82 @@ const MAX_SAMPLE_COUNT: usize = 10_000;
 /// At `--eps 0.2 --delta 0.05` this admits `--max-n` up to about 2 500.
 const MAX_UNION_TRIALS: usize = 1 << 24;
 
+/// Longest protocol line, in bytes before its newline, that
+/// [`read_request_line`] accepts. Request lines are short; the cap keeps
+/// one endless line from growing the read buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 16;
+
+/// Longest automaton file, in bytes, that `--file` reads: room for about
+/// 800 000 `trans` lines even with state ids at the
+/// [`parse::MAX_STATES`] cap.
+pub(crate) const MAX_FILE_BYTES: u64 = 16 << 20;
+
+/// Reads one protocol line into `buf` (cleared first). Returns
+/// `Ok(None)` at end of input and `Ok(Some(Err(reason)))` for a line the
+/// protocol rejects without parsing it: one longer than
+/// [`MAX_LINE_BYTES`] (the rest of it is read and discarded) or one that
+/// is not UTF-8. `Err` is a real I/O failure of `input`.
+pub fn read_request_line<'b, R: BufRead>(
+    input: &mut R,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<Result<&'b str, String>>> {
+    buf.clear();
+    input.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', buf)?;
+    if buf.is_empty() {
+        return Ok(None);
+    }
+    if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+        // Discard the rest of the line in cap-sized pieces.
+        while buf.last() != Some(&b'\n') {
+            buf.clear();
+            if input.by_ref().take(MAX_LINE_BYTES as u64).read_until(b'\n', buf)? == 0 {
+                break;
+            }
+        }
+        return Ok(Some(Err(format!("line longer than {MAX_LINE_BYTES} bytes"))));
+    }
+    Ok(Some(std::str::from_utf8(buf).map_err(|_| "line is not valid UTF-8".to_string())))
+}
+
+/// Why [`read_automaton_file`] refused a path.
+#[derive(Debug)]
+pub(crate) enum FileReadError {
+    /// The path is not a regular file (a device, a FIFO, a directory):
+    /// reading it could block the serve loop or never end.
+    NotRegularFile,
+    /// The file holds more than [`MAX_FILE_BYTES`] bytes.
+    TooLarge,
+    /// Opening or reading the file failed (including invalid UTF-8).
+    Io(io::Error),
+}
+
+impl fmt::Display for FileReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FileReadError::NotRegularFile => write!(f, "not a regular file"),
+            FileReadError::TooLarge => write!(f, "file larger than {MAX_FILE_BYTES} bytes"),
+            FileReadError::Io(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+/// Reads an automaton file of at most [`MAX_FILE_BYTES`] bytes. The
+/// path's metadata is checked before it is opened, so a device or FIFO
+/// is refused without a read.
+pub(crate) fn read_automaton_file(path: &str) -> Result<String, FileReadError> {
+    let meta = std::fs::metadata(path).map_err(FileReadError::Io)?;
+    if !meta.is_file() {
+        return Err(FileReadError::NotRegularFile);
+    }
+    let file = std::fs::File::open(path).map_err(FileReadError::Io)?;
+    let mut text = String::new();
+    file.take(MAX_FILE_BYTES + 1).read_to_string(&mut text).map_err(FileReadError::Io)?;
+    if text.len() as u64 > MAX_FILE_BYTES {
+        return Err(FileReadError::TooLarge);
+    }
+    Ok(text)
+}
+
 /// Parses `flag`'s value, naming the flag and the offending token in
 /// the error (shared by the `nfa-count` argv parsers and `open`).
 pub fn parse_value<T: std::str::FromStr>(flag: &str, raw: Option<&str>) -> Result<T, String> {
@@ -43,14 +120,15 @@ pub fn parse_value<T: std::str::FromStr>(flag: &str, raw: Option<&str>) -> Resul
 }
 
 /// Loads an automaton from a regex over `{0,1}` or a file in the
-/// `fpras_automata::parse` format; every failure is an `Err`.
+/// `fpras_automata::parse` format; every failure is an `Err`. A file
+/// path that is not a regular file, or holds more than 16 MiB, is
+/// refused without reading past the cap.
 pub fn load_automaton(regex_pattern: Option<&str>, file: Option<&str>) -> Result<Nfa, String> {
     match (regex_pattern, file) {
         (Some(pattern), None) => regex::compile_regex(pattern, &Alphabet::binary())
             .map_err(|e| format!("cannot compile regex: {e}")),
         (None, Some(path)) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let text = read_automaton_file(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             parse::from_text(&text).map_err(|e| format!("cannot parse {path}: {e}"))
         }
         (Some(_), Some(_)) => Err("--regex and --file are mutually exclusive".to_string()),
@@ -680,6 +758,60 @@ mod tests {
         assert_eq!(err("open a --regex"), "missing value for --regex");
         assert_eq!(err("open a --bogus 1"), "unknown open flag \"--bogus\"");
         assert_eq!(err("frobnicate"), "unknown command \"frobnicate\"");
+    }
+
+    /// Every line is answered, in order: an overlong line is discarded
+    /// through its newline (or end of input), a non-UTF-8 line is
+    /// refused, and a line of exactly `MAX_LINE_BYTES` is accepted.
+    #[test]
+    fn request_lines_are_capped_and_checked_for_utf8() {
+        let at_cap = "a".repeat(MAX_LINE_BYTES);
+        let mut input = Vec::new();
+        input.extend_from_slice(b"estimate 3\n\xff\xfe\n");
+        input.extend(std::iter::repeat_n(b'x', 3 * MAX_LINE_BYTES));
+        input.extend_from_slice(b"\n");
+        input.extend_from_slice(at_cap.as_bytes());
+        input.extend_from_slice(b"\nstats");
+        input.extend(std::iter::repeat_n(b'y', MAX_LINE_BYTES));
+        let mut reader = io::BufReader::with_capacity(1024, &input[..]);
+        let mut buf = Vec::new();
+        let mut lines = Vec::new();
+        while let Some(line) = read_request_line(&mut reader, &mut buf).unwrap() {
+            lines.push(line.map(str::to_string));
+        }
+        let too_long = Err(format!("line longer than {MAX_LINE_BYTES} bytes"));
+        assert_eq!(lines.len(), 5);
+        assert_eq!(lines[0], Ok("estimate 3\n".to_string()));
+        assert_eq!(lines[1], Err("line is not valid UTF-8".to_string()));
+        assert_eq!(lines[2], too_long);
+        assert_eq!(lines[3], Ok(format!("{at_cap}\n")));
+        assert_eq!(lines[4], too_long, "an overlong last line ends at end of input");
+    }
+
+    #[test]
+    fn automaton_files_are_regular_and_bounded() {
+        let refused = |path: &str| read_automaton_file(path).unwrap_err();
+        // A device is refused from its metadata, before any read.
+        assert!(matches!(refused("/dev/zero"), FileReadError::NotRegularFile));
+        let dir = std::env::temp_dir();
+        assert!(matches!(refused(dir.to_str().unwrap()), FileReadError::NotRegularFile));
+        let missing = dir.join(format!("fpras-no-such-{}.nfa", std::process::id()));
+        assert!(matches!(refused(missing.to_str().unwrap()), FileReadError::Io(_)));
+
+        let path = dir.join(format!("fpras-file-cap-{}.nfa", std::process::id()));
+        let text = "alphabet 01\nstates 1\ninitial 0\naccepting 0\ntrans 0 1 0\n";
+        let mut padded = text.to_string();
+        padded.extend(std::iter::repeat_n('\n', MAX_FILE_BYTES as usize - text.len()));
+        std::fs::write(&path, &padded).unwrap();
+        let at_cap = read_automaton_file(path.to_str().unwrap()).map(|t| t.len());
+        padded.push('\n');
+        std::fs::write(&path, &padded).unwrap();
+        let over = refused(path.to_str().unwrap());
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(at_cap.unwrap(), MAX_FILE_BYTES as usize);
+        assert!(matches!(over, FileReadError::TooLarge), "{over}");
+        let err = load_automaton(None, Some("/dev/zero")).unwrap_err();
+        assert_eq!(err, "cannot read /dev/zero: not a regular file");
     }
 
     #[test]

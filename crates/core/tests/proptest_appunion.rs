@@ -6,8 +6,8 @@
 //! derives its RNG seed deterministically from the case inputs — the
 //! properties are reproducible, not flaky.
 
-use fpras_automata::{StateSet, Word};
-use fpras_core::sample_set::{SampleEntry, SampleSet};
+use fpras_automata::StateSet;
+use fpras_core::sample_set::SampleSet;
 use fpras_core::{app_union, Params, RunStats, UnionScratch, UnionSetInput};
 use fpras_numeric::ExtFloat;
 use proptest::prelude::*;
@@ -41,10 +41,7 @@ fn build_inputs(
             let mut s = SampleSet::empty();
             for _ in 0..samples {
                 let w = rng.random_range(lo..lo + len);
-                s.push(SampleEntry {
-                    word: Word::from_index(w, 11, 2),
-                    reach: StateSet::from_iter(intervals.len(), member_of(w)),
-                });
+                s.push(&StateSet::from_iter(intervals.len(), member_of(w)));
             }
             (s, len)
         })

@@ -44,7 +44,8 @@ use fpras_automata::exact::{count_exact, ExactError};
 use fpras_automata::{dot, enumerate_slice, Alphabet, Nfa};
 use fpras_baselines::path_importance_sampling;
 use fpras_core::service::protocol::{
-    load_automaton, parse_value, session_summary, Request, Response, Server, TenantSpec,
+    load_automaton, parse_value, read_request_line, session_summary, Request, Response, Server,
+    TenantSpec,
 };
 use fpras_core::service::{QuerySession, QuotaConfig};
 use fpras_core::{
@@ -519,22 +520,23 @@ fn serve_main(argv: &[String]) -> i32 {
          range A B | sample N [COUNT] | stats | metrics | trace on FILE | \
          trace off | quit)"
     );
-    let stdin = std::io::stdin();
-    let mut line = String::new();
+    let mut stdin = std::io::stdin().lock();
+    let mut buf = Vec::new();
     let mut io_error: Option<std::io::Error> = None;
     loop {
-        line.clear();
-        match stdin.read_line(&mut line) {
-            Ok(0) => break, // clean EOF
-            Ok(_) => {}
+        // An overlong or non-UTF-8 line is one bad request, not the end
+        // of the stream: it gets its `error:` line like any other.
+        let line = match read_request_line(&mut stdin, &mut buf) {
+            Ok(None) => break, // clean EOF
+            Ok(Some(line)) => line,
             Err(e) => {
                 // An I/O failure is not an end of input: report it and
                 // exit nonzero so pipelines can tell the two apart.
                 io_error = Some(e);
                 break;
             }
-        }
-        let response = match Request::parse(&line) {
+        };
+        let response = match line.and_then(Request::parse) {
             Ok(None) => continue,
             Ok(Some(request)) => server.handle(request),
             Err(e) => Response::Error(e),

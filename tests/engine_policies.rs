@@ -19,6 +19,8 @@ fn deterministic_policy_bit_identical_across_1_2_8_16_threads() {
     for (label, nfa, n) in [
         ("contains-11", families::contains_substring(&[1, 1]), 10usize),
         ("ones-mod-3", families::ones_mod_k(3), 9),
+        // 97 states: every reach row and frontier spans two words.
+        ("div-97", families::divisible_by(97), 10),
     ] {
         let m = nfa.num_states();
         let params = Params::practical(0.3, 0.1, m, n);

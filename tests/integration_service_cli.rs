@@ -4,6 +4,7 @@
 
 mod common;
 use common::{run, run_with_stdin, run_with_stdin_bytes, write_fixture};
+use std::process::{Command, Stdio};
 
 fn estimate_line<'a>(stdout: &'a str, needle: &str) -> &'a str {
     stdout.lines().find(|l| l.contains(needle)).unwrap_or_else(|| panic!("no {needle}: {stdout}"))
@@ -307,14 +308,41 @@ fn serve_enforces_session_and_level_quotas() {
 
 #[test]
 fn serve_distinguishes_stdin_error_from_eof() {
-    // Invalid UTF-8 makes read_line fail: that is an I/O error, not an
-    // end of input — reported on stderr, nonzero exit (clean EOF stays
-    // exit 0, covered by serve_handles_eof_without_quit).
-    let (stdout, stderr, ok) =
-        run_with_stdin_bytes(&["serve", "--regex", "1*"], b"estimate 3\n\xff\xfe\n");
-    assert!(!ok, "an I/O error must not look like a clean exit");
+    // Stdin opened on a directory: every read fails (EISDIR). That is
+    // an I/O error, not an end of input — reported on stderr, nonzero
+    // exit (clean EOF stays exit 0, covered by
+    // serve_handles_eof_without_quit).
+    let dir = std::fs::File::open(env!("CARGO_TARGET_TMPDIR")).expect("open a directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_nfa-count"))
+        .args(["serve", "--regex", "1*"])
+        .stdin(Stdio::from(dir))
+        .output()
+        .expect("binary runs");
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(!out.status.success(), "an I/O error must not look like a clean exit");
     assert!(stderr.contains("stdin read error"), "{stderr}");
-    // Work done before the failure was still served and summarized.
-    assert!(stdout.contains("estimate 3 = 1"), "{stdout}");
-    assert!(stdout.contains("session: queries=1"), "{stdout}");
+    // The session summary is still printed.
+    assert!(stdout.contains("session: queries=0"), "{stdout}");
+}
+
+#[test]
+fn serve_answers_unreadable_lines_and_files_with_one_error_each() {
+    // A non-UTF-8 line, a line past MAX_LINE_BYTES (64 KiB) and a
+    // `--file` that is a device each get one `error:` line; the tenant
+    // opened before them is still served after them and the process
+    // exits 0 at EOF.
+    let mut input = b"open a --regex (0|1)*1\n\xff\xfe estimate 3\nestimate 3\n".to_vec();
+    input.extend(std::iter::repeat_n(b'x', 100_000));
+    input.extend_from_slice(b"\nestimate 3\nopen z --file /dev/zero\nestimate 3\n");
+    let (stdout, stderr, ok) = run_with_stdin_bytes(&["serve"], &input);
+    assert!(ok, "stderr: {stderr}");
+    let errors: Vec<&str> = stdout.lines().filter(|l| l.starts_with("error: ")).collect();
+    assert_eq!(errors.len(), 3, "one error per bad line:\n{stdout}");
+    assert_eq!(errors[0], "error: line is not valid UTF-8");
+    assert_eq!(errors[1], "error: line longer than 65536 bytes");
+    assert_eq!(errors[2], "error: cannot read /dev/zero: not a regular file");
+    // |L(A_3)| = 4 for words ending in 1.
+    let answered = stdout.lines().filter(|l| l.starts_with("estimate 3 = 4")).count();
+    assert_eq!(answered, 3, "{stdout}");
 }
